@@ -17,10 +17,7 @@ package repro
 // percentages are identical at any worker count.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -31,7 +28,6 @@ import (
 	"repro/internal/h2"
 	"repro/internal/h2sim"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/website"
@@ -435,165 +431,6 @@ func BenchmarkStreamDispatch(b *testing.B) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
-
-// benchSurveyResult is a representative survey line for the export
-// benches: every field populated, a realistic mix of bools, ints, and
-// floats, ~330 bytes encoded.
-func benchSurveyResult() experiment.SurveyResult {
-	return experiment.SurveyResult{
-		SiteSpec: website.SiteSpec{
-			Index: 12345, Seed: 0xfeedface12345678, Objects: 48,
-			Shape: "front-loaded", TargetID: 7, TargetSize: 73219,
-			TotalBytes: 2310441,
-		},
-		Rep: 3, TrialSeed: 987654321, Broken: false, PageComplete: true,
-		TargetClean: true, TargetCleanOrig: false, TargetIdentified: true,
-		TargetDegree: 12.5, Success: true, Inferences: 51, Identified: 44,
-		Retransmissions: 6, ReRequests: 2, Resets: 9, LoadTimeMs: 1872.25,
-	}
-}
-
-// BenchmarkExportLine measures one JSONL line encode: the append fast
-// path against the reflection path it replaced. The append encoder's
-// zero-allocation steady state is pinned by TestAppendLineZeroAllocs;
-// here -benchmem shows the same contrast as allocs/op.
-func BenchmarkExportLine(b *testing.B) {
-	r := benchSurveyResult()
-	p := experiment.CorpusTrialParams{Site: 12345, Rep: 3, Seed: 987654321}
-	b.Run("append", func(b *testing.B) {
-		buf := make([]byte, 0, 1024)
-		var err error
-		for i := 0; i < b.N; i++ {
-			buf, err = experiment.AppendSurveyResultLine(buf[:0], i, p, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(len(buf)))
-		reportLinesPerSec(b, 1)
-	})
-	b.Run("marshal", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			data, err := json.Marshal(r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n = len(data)
-		}
-		b.SetBytes(int64(n))
-		reportLinesPerSec(b, 1)
-	})
-}
-
-// reportLinesPerSec attaches the export throughput metric: linesPerIter
-// JSONL lines were produced per iteration.
-func reportLinesPerSec(b *testing.B, linesPerIter int) {
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(linesPerIter*b.N)/s, "lines/s")
-	}
-}
-
-// benchExportDir returns a scratch directory for export benchmarks,
-// preferring tmpfs (/dev/shm) so the measurement tracks the export
-// stack — encode, queueing, syscall batching — rather than the
-// machine's disk bandwidth, which would cap both configurations
-// identically.
-func benchExportDir(b *testing.B) string {
-	if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
-		dir, err := os.MkdirTemp("/dev/shm", "h2attack-bench-")
-		if err == nil {
-			b.Cleanup(func() { os.RemoveAll(dir) })
-			return dir
-		}
-	}
-	return b.TempDir()
-}
-
-// benchTrialResult is a representative sweep line for the campaign
-// export bench: a full emblem verdict set plus a 56-entry request log,
-// the shape a shard sweep actually streams to its bundle (~2.5 KB
-// encoded). The nested slice is where reflection encoding hurts most,
-// so this is also where the append fast path pays off most.
-func benchTrialResult() experiment.TrialResult {
-	r := experiment.TrialResult{
-		HTMLCleanAny: true, HTMLCleanOrig: true, HTMLIdentified: true,
-		HTMLDegree: 3.25, Retransmissions: 7, ReRequests: 2, Resets: 4,
-		PageComplete: true, LoadTime: 1872250 * time.Microsecond,
-	}
-	for i := range r.TruthOrder {
-		r.TruthOrder[i] = (i * 3) % website.PartyCount
-		r.PredOrder[i] = (i * 5) % website.PartyCount
-		r.ImageClean[i] = i%2 == 0
-	}
-	for i := 0; i < 56; i++ {
-		r.Requests = append(r.Requests, h2sim.RequestLog{
-			Time:     time.Duration(i) * 13 * time.Millisecond,
-			ObjectID: i % 48, CopyID: i % 3, StreamID: uint32(1 + 2*i), ReIssue: i%7 == 0,
-		})
-	}
-	return r
-}
-
-// BenchmarkCampaignExport measures the full export leg at campaign
-// scale with a near-free trial body, so encode+write dominate: the
-// zero-alloc appender through the pipelined writer with the shard
-// writer buffer ("fast", the sharded sweep's production
-// configuration) against the reflection encoder inline on the emit
-// goroutine with the old hard-coded 64 KiB buffer ("baseline", the
-// pre-fast-path configuration). The ≥3x lines/s gap between the two
-// is this PR's acceptance metric.
-func BenchmarkCampaignExport(b *testing.B) {
-	const lines = 1 << 13
-	r := benchTrialResult()
-	gen := pipeline.Fixed[experiment.TrialParams]{
-		CampaignName: "bench-export", N: lines,
-		Fn: func(i int) experiment.TrialParams {
-			return experiment.TrialParams{Seed: int64(i)}
-		},
-	}
-	trial := func(_ struct{}, p experiment.TrialParams) experiment.TrialResult {
-		out := r
-		out.Resets = int(p.Seed)
-		return out
-	}
-	noState := func() struct{} { return struct{}{} }
-	run := func(b *testing.B, mk func(path string) *pipeline.JSONL[experiment.TrialParams, experiment.TrialResult], queue, wbuf int) {
-		dir := benchExportDir(b)
-		for i := 0; i < b.N; i++ {
-			// Alternate between two output paths and reclaim the stale
-			// one off the clock: freeing the previous iteration's ~20 MB
-			// of pages is harness housekeeping, not export work.
-			path := filepath.Join(dir, "out-"+strconv.Itoa(i&1)+".jsonl")
-			b.StopTimer()
-			os.Remove(path)
-			b.StartTimer()
-			sum, err := pipeline.Run(pipeline.Config{Workers: 1, ExportQueue: queue, WriterBuf: wbuf}, gen, noState, trial, mk(path))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !sum.Done || sum.Exported != lines {
-				b.Fatalf("summary %+v", sum)
-			}
-		}
-		reportLinesPerSec(b, lines)
-	}
-	b.Run("fast", func(b *testing.B) {
-		run(b, func(path string) *pipeline.JSONL[experiment.TrialParams, experiment.TrialResult] {
-			return pipeline.NewJSONL(path, func(i int, p experiment.TrialParams, r experiment.TrialResult) (any, error) {
-				return r, nil
-			}).WithAppender(pipeline.AppendFunc[experiment.TrialParams, experiment.TrialResult](experiment.AppendTrialResultLine)).
-				WithBufferSize(experiment.ShardWriterBuf)
-		}, 0, 0)
-	})
-	b.Run("baseline", func(b *testing.B) {
-		run(b, func(path string) *pipeline.JSONL[experiment.TrialParams, experiment.TrialResult] {
-			return pipeline.NewJSONL(path, func(i int, p experiment.TrialParams, r experiment.TrialResult) (any, error) {
-				return r, nil
-			})
-		}, -1, 0)
-	})
-}
 
 // BenchmarkDefenses evaluates the paper's section VII mitigation
 // proposals (extension experiment; see EXPERIMENTS.md).

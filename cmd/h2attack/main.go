@@ -75,47 +75,48 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(flag.CommandLine, os.Args[1:]))
 }
 
-func run() int {
+// run registers the command's flags on fs, parses args, and runs the
+// selected campaigns, returning the exit code.
+func run(fs *flag.FlagSet, args []string) int {
 	var (
-		table1     = flag.Bool("table1", false, "reproduce Table I (jitter sweep)")
-		fig5       = flag.Bool("fig5", false, "reproduce Figure 5 (bandwidth sweep)")
-		drops      = flag.Bool("drops", false, "reproduce section IV-D (targeted drops)")
-		table2     = flag.Bool("table2", false, "reproduce Table II (full attack)")
-		delay      = flag.Bool("delay", false, "run the section IV-A uniform-delay control")
-		defenses   = flag.Bool("defenses", false, "evaluate the section VII defence proposals")
-		all        = flag.Bool("all", false, "run every experiment")
-		trial      = flag.Bool("trial", false, "run one verbose full-attack trial")
-		metrics    = flag.Bool("metrics", false, "print a cross-layer metrics summary after each sweep")
-		metricsOut = flag.String("metrics-json", "", "write every sweep's metrics snapshot into this one JSON file")
-		events     = flag.String("events", "", "dump one full-attack trial's flight-recorder events (value: seed=N or N)")
-		evTrace    = flag.String("events-trace", "", "write one trial's flight recorder as Perfetto trace_event JSON to this file (trial from -events, else -seed)")
-		status     = flag.String("status", "", "serve live campaign telemetry on this address (/metrics, /status, /events?seed=N); never affects campaign output")
-		trials     = flag.Int("trials", 100, "page loads per configuration")
-		seed       = flag.Int64("seed", 1, "base seed (trial i uses seed+i)")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "trial worker goroutines per sweep (1 = serial)")
-		progress   = flag.Bool("progress", false, "report sweep completion and ETA on stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		table1     = fs.Bool("table1", false, "reproduce Table I (jitter sweep)")
+		fig5       = fs.Bool("fig5", false, "reproduce Figure 5 (bandwidth sweep)")
+		drops      = fs.Bool("drops", false, "reproduce section IV-D (targeted drops)")
+		table2     = fs.Bool("table2", false, "reproduce Table II (full attack)")
+		delay      = fs.Bool("delay", false, "run the section IV-A uniform-delay control")
+		defenses   = fs.Bool("defenses", false, "evaluate the section VII defence proposals")
+		all        = fs.Bool("all", false, "run every experiment")
+		trial      = fs.Bool("trial", false, "run one verbose full-attack trial")
+		metrics    = fs.Bool("metrics", false, "print a cross-layer metrics summary after each sweep")
+		metricsOut = fs.String("metrics-json", "", "write every sweep's metrics snapshot into this one JSON file")
+		events     = fs.String("events", "", "dump one full-attack trial's flight-recorder events (value: seed=N or N)")
+		evTrace    = fs.String("events-trace", "", "write one trial's flight recorder as Perfetto trace_event JSON to this file (trial from -events, else -seed)")
+		status     = fs.String("status", "", "serve live campaign telemetry on this address (/metrics, /status, /events?seed=N); never affects campaign output")
+		trials     = fs.Int("trials", 100, "page loads per configuration")
+		seed       = fs.Int64("seed", 1, "base seed (trial i uses seed+i)")
+		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "trial worker goroutines per sweep (1 = serial)")
+		progress   = fs.Bool("progress", false, "report sweep completion and ETA on stderr")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 
-		shardSpec = flag.String("shard", "", "run slice i/N (1-based) of every selected campaign and write a bundle into -shard-dir")
-		shardDir  = flag.String("shard-dir", "", "shard: bundle output directory (holds JSONL slices, obs snapshots, checkpoints, manifest)")
-		mergeDirs = flag.String("merge", "", "merge completed shard bundles (comma-separated directories); output is byte-identical to a single-process run")
+		shardSpec = fs.String("shard", "", "run slice i/N (1-based) of every selected campaign and write a bundle into -shard-dir")
+		shardDir  = fs.String("shard-dir", "", "shard: bundle output directory (holds JSONL slices, obs snapshots, checkpoints, manifest)")
+		mergeDirs = fs.String("merge", "", "merge completed shard bundles (comma-separated directories); output is byte-identical to a single-process run")
 
-		survey     = flag.Bool("survey", false, "run a survey campaign against a synthetic site corpus")
-		corpus     = flag.Int("corpus", 1000, "survey: number of synthetic sites")
-		siteTrials = flag.Int("site-trials", 1, "survey: attack repetitions per site")
-		export     = flag.String("export", "summary", "survey: comma-separated exporters (summary, jsonl=FILE, obs=FILE)")
-		checkpoint = flag.String("checkpoint", "", "survey: checkpoint file for resumable campaigns")
-		ckptEvery  = flag.Int("checkpoint-every", 1000, "survey: trials between checkpoint writes")
-		maxTrials  = flag.Int("max-trials", 0, "survey: stop (checkpointing) after this many trials this run; 0 = no limit")
-
-		exportQueue = flag.Int("export-queue", 0, "depth of the pipelined export queue (0 = default 256, negative = write inline on the emit goroutine); never affects exported bytes")
-		exportBuf   = flag.Int("export-buf", 0, "results writer buffer in bytes (0 = exporter default); never affects exported bytes")
+		survey     = fs.Bool("survey", false, "run a survey campaign against a synthetic site corpus")
+		corpus     = fs.Int("corpus", 1000, "survey: number of synthetic sites")
+		siteTrials = fs.Int("site-trials", 1, "survey: attack repetitions per site")
+		export     = fs.String("export", "summary", "survey: comma-separated exporters (summary, jsonl=FILE, obs=FILE)")
+		checkpoint = fs.String("checkpoint", "", "survey: checkpoint file for resumable campaigns")
+		ckptEvery  = fs.Int("checkpoint-every", 1000, "survey: trials between checkpoint writes")
+		maxTrials  = fs.Int("max-trials", 0, "survey: stop (checkpointing) after this many trials this run; 0 = no limit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -212,8 +213,6 @@ func run() int {
 			export:          *export,
 			checkpointEvery: *ckptEvery,
 			maxTrials:       *maxTrials,
-			exportQueue:     *exportQueue,
-			exportBuf:       *exportBuf,
 		}
 		if *shardSpec != "" {
 			if err := runShardMode(*shardSpec, *shardDir, smf); err != nil {
@@ -268,8 +267,6 @@ func run() int {
 			checkpoint:      *checkpoint,
 			checkpointEvery: *ckptEvery,
 			maxTrials:       *maxTrials,
-			exportQueue:     *exportQueue,
-			exportBuf:       *exportBuf,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -survey: %v\n", err)
@@ -307,7 +304,7 @@ func run() int {
 		}
 	}
 	if !ran {
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 	return 0

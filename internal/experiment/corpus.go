@@ -115,8 +115,9 @@ func objectBucket(n int) int {
 // Spec.TargetID) and the predictor scores against the site's own size
 // table.
 func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) SurveyResult {
-	// Trial latency feeds the worker's own shard, lock-free (see
-	// World.RunTrial).
+	// The shard is held for the whole trial (see World.RunTrial).
+	w.shard.Lock()
+	defer w.shard.Unlock()
 	var wallStart time.Time
 	if w.shard != nil {
 		wallStart = time.Now()
@@ -324,14 +325,11 @@ func (s *Survey) Run(cfg pipeline.Config, exporters ...pipeline.Exporter[CorpusT
 }
 
 // SurveyJSONL returns the campaign's raw per-trial exporter: one JSON
-// line per trial (the SurveyResult, which embeds the site spec). The
-// zero-allocation append encoder is installed as the fast path; the
-// json.Marshal closure remains the semantic reference the equivalence
-// suite compares against.
+// line per trial (the SurveyResult, which embeds the site spec).
 func SurveyJSONL(path string) *pipeline.JSONL[CorpusTrialParams, SurveyResult] {
 	return pipeline.NewJSONL(path, func(i int, p CorpusTrialParams, r SurveyResult) (any, error) {
 		return r, nil
-	}).WithAppender(pipeline.AppendFunc[CorpusTrialParams, SurveyResult](AppendSurveyResultLine))
+	})
 }
 
 // surveyAgg is one aggregation cell of the survey summary.

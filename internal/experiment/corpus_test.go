@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -106,6 +107,46 @@ func TestSurveyResumeByteIdentical(t *testing.T) {
 	trials, _ := resumedSummary.Total()
 	if trials != 17 {
 		t.Fatalf("resumed summary counted %d trials, want 17", trials)
+	}
+}
+
+// TestSurveyResumeRefusesShortFile cuts a checkpointed survey's JSONL
+// below its checkpointed offset. Truncating to the offset would pad
+// the file with NUL bytes, so the resume must fail, name the file,
+// and leave it as it was.
+func TestSurveyResumeRefusesShortFile(t *testing.T) {
+	cfg := testSurveyConfig(12)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.jsonl")
+	ckpt := filepath.Join(dir, "ck.json")
+	pcfg := pipeline.Config{Workers: 2, Checkpoint: ckpt, CheckpointEvery: 3, MaxTrials: 7}
+	if sum, _ := runSurveyJSONL(t, cfg, pcfg, path); sum.Done || sum.Exported != 7 {
+		t.Fatalf("interrupted survey: %+v", sum)
+	}
+	if err := os.Truncate(path, 100); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pcfg.MaxTrials = 0
+	_, err = NewSurvey(cfg).Run(pcfg, SurveyJSONL(path))
+	if err == nil {
+		t.Fatal("resume into a short results file succeeded")
+	}
+	for _, want := range []string{path, "100 bytes", "offset"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, cut) {
+		t.Fatalf("refused resume changed the file: %d bytes, was %d", len(after), len(cut))
 	}
 }
 

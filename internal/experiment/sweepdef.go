@@ -83,14 +83,6 @@ func Sweeps(trials int, seed0 int64) []SweepDef {
 	}
 }
 
-// ShardWriterBuf is the default JSONL writer buffer for sweep shard
-// bundles: TrialResult lines carry the full request log (~2.5 KB
-// each), so shards batch ~100 lines per write — on the async export
-// stage this also sets the write-behind chunk size, where 256 KiB
-// keeps encode and file I/O overlapped at fine enough grain
-// (Config.WriterBuf overrides it).
-const ShardWriterBuf = 1 << 18
-
 // RunShard executes the [cfg.Start, cfg.End) slice of the sweep
 // through the checkpointable pipeline, writing one JSON-marshalled
 // TrialResult per trial (Copies excluded — no aggregator reads them)
@@ -104,8 +96,7 @@ func (d SweepDef) RunShard(cfg pipeline.Config, st *ObsState, jsonlPath string) 
 	newState := NewWorld
 	jsonl := pipeline.NewJSONL(jsonlPath, func(_ int, _ TrialParams, r TrialResult) (any, error) {
 		return r, nil
-	}).WithAppender(pipeline.AppendFunc[TrialParams, TrialResult](AppendTrialResultLine)).
-		WithBufferSize(ShardWriterBuf)
+	})
 	exporters := []pipeline.Exporter[TrialParams, TrialResult]{jsonl}
 	if st != nil {
 		reg := st.Reg

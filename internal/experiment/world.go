@@ -64,9 +64,12 @@ func (w *World) SetRecorder(rec *obs.Recorder) { w.rec = rec }
 // RunTrial executes one trial in this world. Equivalent to the
 // package-level RunTrial(p), amortizing construction across calls.
 func (w *World) RunTrial(p TrialParams) TrialResult {
-	// Trial latency feeds the worker's own shard (lock-free; merged
-	// into the registry's wall section at snapshot time). No defer:
-	// the method is on the dispatch hot path.
+	// The shard is held for the whole trial, so a registry snapshot
+	// taken meanwhile (a periodic checkpoint) never reads it half
+	// written. Trial latency feeds the worker's own shard (merged into
+	// the registry's wall section at snapshot time).
+	w.shard.Lock()
+	defer w.shard.Unlock()
 	var wallStart time.Time
 	if w.shard != nil {
 		wallStart = time.Now()

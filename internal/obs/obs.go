@@ -31,6 +31,7 @@ package obs
 
 import (
 	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -264,24 +265,44 @@ func (b *block) merge(o *block) {
 }
 
 // Shard is one worker's private metric cells, preallocated with one
-// block per registry segment. A shard is not safe for concurrent use;
-// the runner keeps one per worker goroutine (the same ownership rule
-// as experiment.World).
+// block per registry segment. A shard is written by one worker
+// goroutine (the same ownership rule as experiment.World), which
+// holds Lock for the whole of each trial it records.
 type Shard struct {
+	// mu orders the worker's writes with Registry.Snapshot, which
+	// reads the shard under it. A snapshot taken while trials run (a
+	// periodic checkpoint) therefore sees whole trials only. The
+	// worker's lock is uncontended except during such a snapshot.
+	mu   sync.Mutex
 	segs []block
 
 	// wall is the worker's private trial-latency histogram (the only
 	// wall-clock cell in the shard). Keeping it here instead of behind
-	// the registry mutex means trial completion never takes a lock:
-	// the registry folds all shard walls together at Snapshot time,
-	// and histogram merge is commutative, so the aggregate is the same
-	// as the old centrally-locked accumulation.
+	// the registry mutex means trial completion never takes the shared
+	// lock: the registry folds all shard walls together at Snapshot
+	// time, and histogram merge is commutative, so the aggregate is the
+	// same as the old centrally-locked accumulation.
 	wall Hist
 }
 
+// Lock marks the start of one trial's recording; Unlock its end. A
+// nil shard ignores both.
+func (s *Shard) Lock() {
+	if s != nil {
+		s.mu.Lock()
+	}
+}
+
+// Unlock ends the recording Lock started.
+func (s *Shard) Unlock() {
+	if s != nil {
+		s.mu.Unlock()
+	}
+}
+
 // ObserveTrialWall folds one trial's wall-clock latency into the
-// shard's private wall histogram, lock-free. A nil shard ignores the
-// sample.
+// shard's private wall histogram. Call it between Lock and Unlock. A
+// nil shard ignores the sample.
 func (s *Shard) ObserveTrialWall(d time.Duration) {
 	if s == nil {
 		return

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -235,5 +236,46 @@ func TestMarshalSweeps(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("JSON missing %s:\n%s", want, out)
 		}
+	}
+}
+
+// TestSnapshotDuringTrials takes snapshots while two workers record
+// trials, as a periodic checkpoint does. Under -race it pins that the
+// snapshot and the workers do not race, and every snapshot must see
+// whole trials: each trial's counter and its wall sample together.
+func TestSnapshotDuringTrials(t *testing.T) {
+	const workers, trials = 2, 2000
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		s := r.NewShard()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < trials; i++ {
+				s.Lock()
+				s.Sink(0).Inc(CTrial)
+				s.ObserveTrialWall(time.Microsecond)
+				s.Unlock()
+			}
+		}()
+	}
+	check := func(snap *Snapshot) uint64 {
+		count := snap.Segment("all").Counter("trial.count")
+		var wall uint64
+		if snap.Wall != nil {
+			wall = snap.Wall.Trials
+		}
+		if count != wall {
+			t.Fatalf("snapshot saw %d trial counts but %d wall samples", count, wall)
+		}
+		return count
+	}
+	for i := 0; i < 100; i++ {
+		check(r.Snapshot())
+	}
+	wg.Wait()
+	if got := check(r.Snapshot()); got != workers*trials {
+		t.Fatalf("final snapshot counted %d trials, want %d", got, workers*trials)
 	}
 }

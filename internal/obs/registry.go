@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -63,8 +64,8 @@ func (r *Registry) NewShard() *Shard {
 
 // ObserveTrialWall folds one trial's wall-clock latency into the wall
 // section under the registry lock. Safe for concurrent use, but the
-// hot path should prefer the lock-free Shard.ObserveTrialWall — the
-// snapshot merges both.
+// hot path should prefer the worker's own Shard.ObserveTrialWall —
+// the snapshot merges both.
 func (r *Registry) ObserveTrialWall(d time.Duration) {
 	r.mu.Lock()
 	r.wallHist.Observe(int64(d))
@@ -80,20 +81,22 @@ func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap := &Snapshot{Elapsed: time.Since(r.start)}
-	for i, label := range r.labels {
-		var merged block
-		for _, s := range r.shards {
-			if i < len(s.segs) {
-				merged.merge(&s.segs[i])
-			}
-		}
-		snap.Segments = append(snap.Segments, segmentFromBlock(label, &merged))
-	}
+	merged := make([]block, len(r.labels))
 	wall := r.wallHist
 	trials := r.wallCount
 	for _, s := range r.shards {
+		s.mu.Lock()
+		for i := range merged {
+			if i < len(s.segs) {
+				merged[i].merge(&s.segs[i])
+			}
+		}
 		wall.Merge(&s.wall)
 		trials += s.wall.Count
+		s.mu.Unlock()
+	}
+	for i, label := range r.labels {
+		snap.Segments = append(snap.Segments, segmentFromBlock(label, &merged[i]))
 	}
 	if trials > 0 {
 		snap.Wall = &WallSnapshot{Trials: trials, Hist: wall}
@@ -418,9 +421,21 @@ func (s *Snapshot) writeSegments(b *strings.Builder) {
 // human-readable -metrics text), so the file is byte-identical for
 // the same trials at any worker count and for any process sharding —
 // the property the shard-merge CI gate cmp's.
-// The document is built by the append fast path (AppendSweeps); the
-// equivalence test pins it byte-for-byte against the reflection
-// encoding it replaced.
 func MarshalSweeps(sweeps map[string]*Snapshot) ([]byte, error) {
-	return AppendSweeps(nil, sweeps), nil
+	names := make([]string, 0, len(sweeps))
+	for n := range sweeps {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	type entry struct {
+		Sweep string `json:"sweep"`
+		*Snapshot
+	}
+	out := struct {
+		Sweeps []entry `json:"sweeps"`
+	}{}
+	for _, n := range names {
+		out.Sweeps = append(out.Sweeps, entry{Sweep: n, Snapshot: sweeps[n].Deterministic()})
+	}
+	return json.MarshalIndent(out, "", "  ")
 }

@@ -100,6 +100,10 @@ func (ck *checkpoint) verify(campaign, fingerprint string, trials, start, end in
 		return fmt.Errorf("pipeline: checkpoint %s covers range [%d, %d), run requested [%d, %d)",
 			ck.path, ck.RangeStart, ckEnd, start, end)
 	}
+	if ck.Next < start || ck.Next > end {
+		return fmt.Errorf("pipeline: checkpoint %s records next trial %d outside its range [%d, %d]",
+			ck.path, ck.Next, start, end)
+	}
 	return nil
 }
 

@@ -2,87 +2,16 @@ package pipeline
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/jsonenc"
 )
 
-// stringAppender mirrors the fallback encode used by the tests below
-// (the line is json.Marshal of the result string), so appender and
-// reflection paths must produce identical bytes.
-func stringAppender() AppendFunc[int, string] {
-	return func(dst []byte, i int, p int, r string) ([]byte, error) {
-		return jsonenc.AppendString(dst, r), nil
-	}
-}
-
-// TestAppenderMatchesFallbackBytes runs the same campaign through the
-// append fast path and the json.Marshal fallback and requires
-// byte-identical files — the contract that makes the fast path safe
-// to substitute under checkpointed campaigns.
-func TestAppenderMatchesFallbackBytes(t *testing.T) {
-	const n = 100
-	run := func(app Appender[int, string]) []byte {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "out.jsonl")
-		exp := NewJSONL(path, func(i int, p int, r string) (any, error) { return r, nil })
-		if app != nil {
-			exp.WithAppender(app)
-		}
-		if _, err := Run(Config{Workers: 4}, testGen(n, ""), noState, testTrial, exp); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	want := run(nil)
-	got := run(stringAppender())
-	if !bytes.Equal(got, want) {
-		t.Fatalf("append fast path diverges from fallback:\n got %q\nwant %q", got, want)
-	}
-}
-
-// TestExportQueueByteIdentity pins the async/sync equivalence: any
-// queue depth (including the backpressure-heavy depth 1) and writer
-// buffer size must export the same bytes as the inline path.
-func TestExportQueueByteIdentity(t *testing.T) {
-	const n = 123
-	run := func(cfg Config) []byte {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "out.jsonl")
-		exp := NewJSONL(path, func(i int, p int, r string) (any, error) { return r, nil }).
-			WithAppender(stringAppender())
-		if _, err := Run(cfg, testGen(n, ""), noState, testTrial, exp); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	want := run(Config{Workers: 4, ExportQueue: -1}) // inline
-	for _, cfg := range []Config{
-		{Workers: 4},                                // default async depth
-		{Workers: 4, ExportQueue: 1},                // maximal backpressure
-		{Workers: 1, ExportQueue: 7, WriterBuf: 32}, // serial runner, tiny buffer
-		{Workers: 8, ExportQueue: 512, WriterBuf: 1 << 20},
-	} {
-		if got := run(cfg); !bytes.Equal(got, want) {
-			t.Fatalf("config %+v exported different bytes", cfg)
-		}
-	}
-}
-
 // TestEncodeErrorAbortsAndLeavesRestorableCheckpoint fails the
-// appender mid-campaign: the run must surface the error, and the
+// line encoder mid-campaign: the run must surface the error, and the
 // checkpoint left behind must resume to a byte-identical file.
 func TestEncodeErrorAbortsAndLeavesRestorableCheckpoint(t *testing.T) {
 	const n = 57
@@ -91,20 +20,11 @@ func TestEncodeErrorAbortsAndLeavesRestorableCheckpoint(t *testing.T) {
 
 	mk := func(path string, failAt int) *JSONL[int, string] {
 		return NewJSONL(path, func(i int, p int, r string) (any, error) {
-			return map[string]any{"i": i, "r": r}, nil
-		}).WithAppender(AppendFunc[int, string](func(dst []byte, i int, p int, r string) ([]byte, error) {
-			if failAt >= 0 && i == failAt {
-				return dst, fmt.Errorf("encode failure at %d", i)
+			if i == failAt {
+				return nil, fmt.Errorf("encode failure at %d", i)
 			}
-			// Replicate json.Marshal(map[string]any{"i": i, "r": r})
-			// (keys sorted: "i" then "r") so the resumed file matches
-			// the fallback reference byte for byte.
-			dst = append(dst, `{"i":`...)
-			dst = jsonenc.AppendInt(dst, int64(i))
-			dst = append(dst, `,"r":`...)
-			dst = jsonenc.AppendString(dst, r)
-			return append(dst, '}'), nil
-		}))
+			return map[string]any{"i": i, "r": r}, nil
+		})
 	}
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ck.json")
@@ -130,8 +50,9 @@ func TestEncodeErrorAbortsAndLeavesRestorableCheckpoint(t *testing.T) {
 
 // TestWriterErrorAbortsAndLeavesRestorableCheckpoint fails the real
 // write path (the JSONL file descriptor dies mid-campaign, as a full
-// disk would make it): the campaign must abort with the write error
-// and the checkpoint must still resume to a byte-identical file.
+// disk would make it): the campaign must abort with the write error,
+// which surfaces at the next checkpoint's flush, and the checkpoint
+// before it must still resume to a byte-identical file.
 func TestWriterErrorAbortsAndLeavesRestorableCheckpoint(t *testing.T) {
 	const n = 57
 	refDir := t.TempDir()
@@ -142,7 +63,7 @@ func TestWriterErrorAbortsAndLeavesRestorableCheckpoint(t *testing.T) {
 	path := filepath.Join(dir, "out.jsonl")
 	exp := NewJSONL(path, func(i int, p int, r string) (any, error) {
 		return map[string]any{"i": i, "r": r}, nil
-	}).WithBufferSize(1) // flush every line so the dead fd surfaces immediately
+	})
 	// sabotage runs before the JSONL exporter in the list: at trial 37
 	// it closes the file out from under the writer, the way ENOSPC
 	// kills a stream mid-write.
@@ -189,5 +110,85 @@ func TestCollectorPreSizesFromMeta(t *testing.T) {
 	}
 	if &c.results[0] != base {
 		t.Fatal("collector reallocated during exports despite pre-sizing")
+	}
+}
+
+// TestRunClosesEveryExporter fails the first of two exporters' Close
+// on a completed campaign, on one aborted by an export error, and on
+// one whose third exporter fails to begin. The second exporter must
+// still be closed, and Run must return every error.
+func TestRunClosesEveryExporter(t *testing.T) {
+	errFirst := errors.New("first close failed")
+	errSecond := errors.New("second close failed")
+	errExport := errors.New("export failed")
+	errBegin := errors.New("begin failed")
+	for _, tc := range []struct {
+		name      string
+		failAt    int
+		failBegin bool
+		wantErrs  []error
+	}{
+		{"done", -1, false, []error{errFirst, errSecond}},
+		{"aborted", 5, false, []error{errExport, errFirst, errSecond}},
+		{"begin failed", -1, true, []error{errBegin, errFirst, errSecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			secondClosed := false
+			first := Funcs[int, string]{
+				ExporterName: "first",
+				OnExport: func(i int, p int, r string) error {
+					if i == tc.failAt {
+						return errExport
+					}
+					return nil
+				},
+				OnClose: func(bool) error { return errFirst },
+			}
+			second := Funcs[int, string]{
+				ExporterName: "second",
+				OnClose:      func(bool) error { secondClosed = true; return errSecond },
+			}
+			third := Funcs[int, string]{
+				ExporterName: "third",
+				OnBegin: func(Meta) error {
+					if tc.failBegin {
+						return errBegin
+					}
+					return nil
+				},
+			}
+			_, err := Run(Config{Workers: 2}, testGen(10, ""), noState, testTrial, first, second, third)
+			if !secondClosed {
+				t.Error("second exporter was not closed after the first Close failed")
+			}
+			for _, want := range tc.wantErrs {
+				if !errors.Is(err, want) {
+					t.Errorf("Run error %v does not include %v", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestJSONLCloseReportsFlushAndCloseErrors kills the file under a
+// JSONL exporter with lines still buffered: Close must report both
+// the failed flush and the failed file close.
+func TestJSONLCloseReportsFlushAndCloseErrors(t *testing.T) {
+	exp := NewJSONL(filepath.Join(t.TempDir(), "out.jsonl"), func(i int, p int, r string) (any, error) { return r, nil })
+	if err := exp.Begin(Meta{Trials: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Export(0, 0, "buffered"); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err := exp.Close(false)
+	if err == nil {
+		t.Fatal("Close over a dead file returned nil")
+	}
+	if joined, ok := err.(interface{ Unwrap() []error }); !ok || len(joined.Unwrap()) != 2 {
+		t.Fatalf("Close returned %v, want the flush and the close error joined", err)
 	}
 }

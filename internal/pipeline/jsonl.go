@@ -3,8 +3,8 @@ package pipeline
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -27,45 +27,13 @@ import (
 type JSONL[P, R any] struct {
 	path   string
 	encode func(i int, p P, r R) (any, error)
-	app    Appender[P, R]
 
 	file    *os.File
-	w       lineWriter
-	wb      *writeBehind // non-nil when w is the write-behind buffer
-	bufSize int
-	scratch []byte
+	w       *bufio.Writer
 	offset  int64
 	lines   int64
 	resumed bool
 	gauges  *telemetry.Gauges // campaign telemetry (nil when off)
-}
-
-// lineWriter is the buffered writer behind Export: a plain
-// bufio.Writer on the inline path, or the write-behind buffer when
-// the campaign runs the pipelined export stage. Flush must leave
-// every written byte in the file (checkpoints record offsets as
-// durable bytes).
-type lineWriter interface {
-	io.Writer
-	Flush() error
-}
-
-// Appender is the zero-allocation encoding contract: AppendLine
-// appends trial i's JSON line (without the trailing newline) to dst
-// and returns the extended slice. Implementations must produce bytes
-// identical to json.Marshal of the value the fallback encode function
-// would return — checkpoint offsets, shard concatenation, and resume
-// byte-identity all assume the two paths are interchangeable.
-type Appender[P, R any] interface {
-	AppendLine(dst []byte, i int, p P, r R) ([]byte, error)
-}
-
-// AppendFunc adapts a plain function to the Appender contract.
-type AppendFunc[P, R any] func(dst []byte, i int, p P, r R) ([]byte, error)
-
-// AppendLine implements Appender.
-func (f AppendFunc[P, R]) AppendLine(dst []byte, i int, p P, r R) ([]byte, error) {
-	return f(dst, i, p, r)
 }
 
 // NewJSONL builds a JSONL exporter writing to path. encode maps one
@@ -73,25 +41,6 @@ func (f AppendFunc[P, R]) AppendLine(dst []byte, i int, p P, r R) ([]byte, error
 // struct itself is typical.
 func NewJSONL[P, R any](path string, encode func(i int, p P, r R) (any, error)) *JSONL[P, R] {
 	return &JSONL[P, R]{path: path, encode: encode}
-}
-
-// WithAppender installs the zero-allocation fast path: Export calls
-// app instead of encode+json.Marshal. The fallback encode function is
-// retained as the semantic reference (the equivalence suites compare
-// the two). Returns j for chaining.
-func (j *JSONL[P, R]) WithAppender(app Appender[P, R]) *JSONL[P, R] {
-	j.app = app
-	return j
-}
-
-// WithBufferSize sets the exporter's default bufio.Writer size used
-// at Begin (normally 1<<16); a positive Config.WriterBuf on the
-// campaign still takes precedence. Larger buffers amortize syscalls
-// for shard bundles whose lines are long; values < 1 keep the
-// default. Returns j for chaining.
-func (j *JSONL[P, R]) WithBufferSize(n int) *JSONL[P, R] {
-	j.bufSize = n
-	return j
 }
 
 // Name implements Exporter.
@@ -110,14 +59,29 @@ func (j *JSONL[P, R]) Restore(state json.RawMessage) error {
 	if err := json.Unmarshal(state, &s); err != nil {
 		return fmt.Errorf("jsonl state: %w", err)
 	}
+	if s.Offset < 0 || s.Lines < 0 {
+		return fmt.Errorf("jsonl state: negative offset %d or line count %d", s.Offset, s.Lines)
+	}
 	j.offset, j.lines, j.resumed = s.Offset, s.Lines, true
 	return nil
 }
 
 // Begin implements Exporter: open (or reopen) the file. On resume the
 // file is truncated to the checkpointed offset; on a fresh campaign
-// it is truncated to empty.
+// it is truncated to empty. A resume refuses a file shorter than the
+// checkpointed offset: truncating would pad it with NUL bytes where
+// the lost lines were.
 func (j *JSONL[P, R]) Begin(m Meta) error {
+	if j.resumed && j.offset > 0 {
+		st, err := os.Stat(j.path)
+		if err != nil {
+			return fmt.Errorf("jsonl: resume at offset %d: %w", j.offset, err)
+		}
+		if st.Size() < j.offset {
+			return fmt.Errorf("jsonl: %s holds %d bytes, fewer than the checkpointed offset %d; refusing to resume",
+				j.path, st.Size(), j.offset)
+		}
+	}
 	if dir := filepath.Dir(j.path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -136,69 +100,18 @@ func (j *JSONL[P, R]) Begin(m Meta) error {
 		return err
 	}
 	j.file = f
-	// Buffer size precedence: the campaign config's explicit request
-	// (Config.WriterBuf via Meta) beats the exporter's own default
-	// (WithBufferSize), which beats 64 KiB. None affect the bytes
-	// written, only syscall batching.
-	size := m.WriterBuf
-	if size < 1 {
-		size = j.bufSize
-	}
-	if size < 1 {
-		size = 1 << 16
-	}
-	// On the pipelined export stage the Export calls already run off
-	// the emit goroutine, so buffer with write-behind: a flusher
-	// goroutine performs the file writes, overlapping encode with
-	// I/O. Inline campaigns keep the plain bufio.Writer.
-	if m.AsyncExport {
-		j.wb = newWriteBehind(f, size, m.Gauges)
-		j.w = j.wb
-	} else {
-		j.w = bufio.NewWriterSize(f, size)
-	}
+	// bufio's default 4 KiB buffer: a 64 KiB one measurably slowed
+	// campaign set-up (fresh pages on every Begin) and saved nothing
+	// per line. The size only batches syscalls, never changes bytes.
+	j.w = bufio.NewWriter(f)
 	j.gauges = m.Gauges
 	j.gauges.Set(telemetry.GExportBytes, j.offset)
 	return nil
 }
 
-// Export implements Exporter: append one line. With an Appender
-// installed the line is built in a reused scratch buffer and written
-// once — zero allocations steady state; otherwise the trial value is
-// marshalled through encoding/json.
+// Export implements Exporter: marshal the trial's value through
+// encoding/json and append it as one line.
 func (j *JSONL[P, R]) Export(i int, p P, r R) error {
-	if j.app != nil {
-		// With the write-behind buffer the line is encoded directly
-		// into the outgoing chunk — no scratch copy. On an encode
-		// error the chunk's length is never advanced, so the partial
-		// append is simply never committed.
-		if j.wb != nil {
-			buf := j.wb.appendBuf()
-			start := len(buf)
-			line, err := j.app.AppendLine(buf, i, p, r)
-			if err != nil {
-				return err
-			}
-			line = append(line, '\n')
-			j.offset += int64(len(line) - start)
-			j.lines++
-			j.gauges.Set(telemetry.GExportBytes, j.offset)
-			return j.wb.commitAppend(line)
-		}
-		line, err := j.app.AppendLine(j.scratch[:0], i, p, r)
-		if err != nil {
-			return err
-		}
-		line = append(line, '\n')
-		j.scratch = line // keep any growth for the next line
-		if _, err := j.w.Write(line); err != nil {
-			return err
-		}
-		j.offset += int64(len(line))
-		j.lines++
-		j.gauges.Set(telemetry.GExportBytes, j.offset)
-		return nil
-	}
 	v, err := j.encode(i, p, r)
 	if err != nil {
 		return err
@@ -207,18 +120,21 @@ func (j *JSONL[P, R]) Export(i int, p P, r R) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
 	if _, err := j.w.Write(data); err != nil {
 		return err
 	}
-	j.offset += int64(len(data))
+	if err := j.w.WriteByte('\n'); err != nil {
+		return err
+	}
+	j.offset += int64(len(data)) + 1
 	j.lines++
 	j.gauges.Set(telemetry.GExportBytes, j.offset)
 	return nil
 }
 
 // Checkpoint implements Exporter. The buffered writer is flushed
-// first so the recorded offset is durable bytes, not buffered ones.
+// first so the recorded offset is bytes in the file, not buffered
+// ones.
 func (j *JSONL[P, R]) Checkpoint() (json.RawMessage, error) {
 	if j.w != nil {
 		if err := j.w.Flush(); err != nil {
@@ -228,23 +144,15 @@ func (j *JSONL[P, R]) Checkpoint() (json.RawMessage, error) {
 	return json.Marshal(jsonlState{Offset: j.offset, Lines: j.lines})
 }
 
-// Close implements Exporter. The flusher goroutine (if any) is
-// stopped even when the final flush fails.
+// Close implements Exporter. The file is closed even when the final
+// flush fails; both errors are returned.
 func (j *JSONL[P, R]) Close(bool) error {
 	if j.file == nil {
 		return nil
 	}
-	ferr := j.w.Flush()
-	if j.wb != nil {
-		j.wb.stop()
-		j.wb = nil
-	}
-	cerr := j.file.Close()
+	err := errors.Join(j.w.Flush(), j.file.Close())
 	j.file, j.w = nil, nil
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	return err
 }
 
 // Lines reports how many lines the exporter has written across the

@@ -42,6 +42,7 @@ package pipeline
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -120,26 +121,8 @@ type Config struct {
 	// (metrics shards) exact across the stop/resume boundary.
 	Stop <-chan struct{}
 
-	// ExportQueue tunes the pipelined export stage: a bounded,
-	// order-preserving queue hands each trial from the emit goroutine
-	// to a dedicated writer goroutine, so encode+write overlap trial
-	// compute. Zero selects DefaultExportQueue (256) items; positive
-	// values set the depth; negative disables the stage and exports
-	// run inline on the emit goroutine. Periodic checkpoints ride the
-	// queue as tokens, so a checkpoint always records the durable
-	// bytes of exactly the trials before it — output bytes and
-	// resume/kill semantics are identical on both paths.
-	ExportQueue int
-
-	// WriterBuf, when positive, is handed to exporters via
-	// Meta.WriterBuf as the preferred writer buffer size in bytes
-	// (JSONL uses it for its bufio.Writer, overriding its default).
-	// Batching only; never affects exported bytes.
-	WriterBuf int
-
 	// Gauges, when non-nil, receives live pipeline health samples —
-	// export-queue depth and high-water, write-behind backlog,
-	// exported-trial/byte cursors, and checkpoint lag — alongside the
+	// exported-trial/byte cursors and checkpoint lag — alongside the
 	// runner gauges (the same *Gauges is handed down to the worker
 	// pool). Write-only from the pipeline's perspective: the telemetry
 	// status server samples it, nothing is read back, so exported
@@ -263,47 +246,11 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 		return nil
 	}
 
-	meta := Meta{
-		Name: gen.Name(), Trials: n, Start: sum.Start, Resumed: resumed,
-		WriterBuf: cfg.WriterBuf, AsyncExport: cfg.ExportQueue >= 0,
-		Gauges: cfg.Gauges,
-	}
-	for _, e := range exporters {
+	meta := Meta{Name: gen.Name(), Trials: n, Start: sum.Start, Resumed: resumed, Gauges: cfg.Gauges}
+	for k, e := range exporters {
 		if err := e.Begin(meta); err != nil {
-			return sum, fmt.Errorf("pipeline: exporter %q: %w", e.Name(), err)
+			return sum, closeAll(exporters[:k], false, fmt.Errorf("pipeline: exporter %q: %w", e.Name(), err))
 		}
-	}
-
-	// doExport streams one trial to every exporter, serialized and in
-	// index order on whichever goroutine owns the export stage.
-	doExport := func(i int, p *P, r *R) error {
-		for _, e := range exporters {
-			if err := e.Export(i, *p, *r); err != nil {
-				return fmt.Errorf("pipeline: exporter %q at trial %d: %w", e.Name(), i, err)
-			}
-		}
-		return nil
-	}
-
-	// The pipelined export stage (unless disabled): trials and
-	// periodic checkpoint tokens flow through a bounded FIFO to one
-	// writer goroutine, which is then the only goroutine touching the
-	// exporters until close() drains it. Exported bytes, checkpoint
-	// contents, and error semantics match the inline path exactly —
-	// only the overlap with trial compute differs.
-	var q *exportQueue[R]
-	if cfg.ExportQueue >= 0 {
-		depth := cfg.ExportQueue
-		if depth == 0 {
-			depth = DefaultExportQueue
-		}
-		q = newExportQueue(depth, cfg.Gauges, func(it *exportItem[R]) error {
-			if it.ckpt {
-				return saveCheckpoint(it.i, false)
-			}
-			p := gen.Params(it.i)
-			return doExport(it.i, &p, &it.r)
-		})
 	}
 
 	every := cfg.CheckpointEvery
@@ -331,65 +278,46 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 		if err != nil {
 			sum.Failures = append(sum.Failures, err)
 		}
-		if q != nil {
-			if !q.putTrial(i, &result) {
-				runErr = q.err()
+		// Export runs here, on the emit goroutine, so exporters see
+		// one trial at a time in index order.
+		p := gen.Params(i)
+		for _, e := range exporters {
+			if expErr := e.Export(i, p, result); expErr != nil {
+				runErr = fmt.Errorf("pipeline: exporter %q at trial %d: %w", e.Name(), i, expErr)
 				return false
 			}
-			exported++
-			g.Set(telemetry.GExportedTrials, int64(i+1))
-			if ck != nil && exported%every == 0 {
-				if !q.putCkpt(i + 1) {
-					runErr = q.err()
-					return false
-				}
-			}
-			return true
-		}
-		p := gen.Params(i)
-		if expErr := doExport(i, &p, &result); expErr != nil {
-			runErr = expErr
-			return false
 		}
 		exported++
 		g.Set(telemetry.GExportedTrials, int64(i+1))
 		if ck != nil && exported%every == 0 {
-			if ckErr := saveCheckpoint(i+1, false); ckErr != nil {
-				runErr = ckErr
+			if runErr = saveCheckpoint(i+1, false); runErr != nil {
 				return false
 			}
 		}
 		return true
 	})
-	if q != nil {
-		// Drain the writer before any final checkpoint or Close: after
-		// this, every executed trial's bytes have reached the
-		// exporters and no other goroutine touches them.
-		if qErr := q.close(); qErr != nil && runErr == nil {
-			runErr = qErr
-		}
-	}
 
 	sum.Exported = sum.Start + exported
-	if runErr != nil {
-		// The exporters may be mid-trial; close them without the
-		// done-side effects and leave the last periodic checkpoint as
-		// the resume point.
-		for _, e := range exporters {
-			_ = e.Close(false)
-		}
-		return sum, runErr
-	}
-	sum.Done = runErr == nil && sum.Exported == end
-	if ck != nil {
-		if err := saveCheckpoint(sum.Exported, sum.Done); err != nil {
-			return sum, err
+	if runErr == nil {
+		sum.Done = sum.Exported == end
+		if ck != nil {
+			runErr = saveCheckpoint(sum.Exported, sum.Done)
 		}
 	}
+	// After a failure the exporters may be mid-trial: they close
+	// without the done-side effects, and the last periodic checkpoint
+	// stays the resume point.
+	return sum, closeAll(exporters, sum.Done && runErr == nil, runErr)
+}
+
+// closeAll closes every exporter, also after one of them fails, and
+// returns err joined with every close error.
+func closeAll[P, R any](exporters []Exporter[P, R], done bool, err error) error {
+	errs := []error{err}
 	for _, e := range exporters {
-		if err := e.Close(sum.Done); err != nil {
-			return sum, fmt.Errorf("pipeline: close exporter %q: %w", e.Name(), err)
+		if cerr := e.Close(done); cerr != nil {
+			errs = append(errs, fmt.Errorf("pipeline: close exporter %q: %w", e.Name(), cerr))
 		}
 	}
-	return sum, nil
+	return errors.Join(errs...)
 }

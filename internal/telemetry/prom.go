@@ -3,9 +3,8 @@ package telemetry
 import "strconv"
 
 // Prometheus text exposition (version 0.0.4) of the live plane,
-// rendered with the same append-encoder style as internal/jsonenc: a
-// caller-owned []byte grows through strconv.Append* primitives, no
-// fmt, no intermediate strings. /metrics responses are built into a
+// rendered by an append encoder: a caller-owned []byte grows through
+// strconv.Append* primitives, no fmt, no intermediate strings. /metrics responses are built into a
 // reused buffer, so a scrape steady-state allocates only what
 // net/http itself needs.
 //

@@ -9,8 +9,7 @@ import (
 
 // referenceMetrics is the naive fmt.Sprintf rendering of the
 // exposition — the semantic reference the append encoder is pinned
-// against (the same reference-vs-fast-path structure as the jsonenc
-// equivalence suites).
+// against.
 func referenceMetrics(s *MetricsSnapshot) string {
 	var b strings.Builder
 	line := func(name, help string, value string) {
