@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain go tooling underneath.
 
-.PHONY: ci test bench bench-compare bench-profile check-golden experiments profile survey-smoke shard-smoke telemetry-smoke
+.PHONY: ci test bench bench-compare bench-profile check-golden experiments profile survey-smoke shard-smoke telemetry-smoke live-smoke
 
 # The CI gate: vet + build + race-enabled tests (scripts/ci.sh).
 ci:
@@ -92,6 +92,14 @@ shard-smoke:
 # (scripts/telemetry_smoke.sh). Mirrors the CI telemetry-smoke job.
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
+
+# Live smoke: h2serve -> h2proxy -spacing 50ms -monitor -> h2get
+# -survey -burst on free loopback ports; asserts every survey object
+# comes back 200 at its modelled size and the proxy saw one request
+# HEADERS frame per object (scripts/live_smoke.sh). Mirrors the CI
+# live-smoke job.
+live-smoke:
+	sh scripts/live_smoke.sh
 
 # Regenerate the reference run recorded in experiments_output.txt
 # (deterministic: identical at any -j; see EXPERIMENTS.md). Written to

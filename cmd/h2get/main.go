@@ -1,7 +1,7 @@
-// Command h2get fetches objects from an HTTP/2 server over real TCP
-// with the repository's from-scratch client. With -burst it issues
-// every request back-to-back on one connection so the server
-// multiplexes the responses, printing per-response timings.
+// Command h2get fetches objects from a prior-knowledge cleartext
+// HTTP/2 server over real TCP, using net/http on a single connection.
+// With -burst it issues every request at once from its own goroutine,
+// so the server multiplexes the responses.
 //
 // Usage:
 //
@@ -13,26 +13,32 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
+	"sync"
 	"time"
 
-	"repro/internal/h2"
 	"repro/internal/website"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(flag.CommandLine, os.Args[1:]))
 }
 
-func run() int {
+// run registers the command's flags on fs, parses args, and fetches
+// the requested paths, returning the exit code.
+func run(fs *flag.FlagSet, args []string) int {
 	var (
-		addr   = flag.String("addr", "127.0.0.1:8443", "server address")
-		burst  = flag.Bool("burst", false, "issue all requests before reading any response")
-		survey = flag.Bool("survey", false, "fetch the whole synthetic survey page")
+		addr   = fs.String("addr", "127.0.0.1:8443", "server address")
+		burst  = fs.Bool("burst", false, "issue all requests at once, each from its own goroutine")
+		survey = fs.Bool("survey", false, "fetch the whole synthetic survey page")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
-	paths := flag.Args()
+	paths := fs.Args()
 	if *survey {
 		site := website.Survey(website.IdentityPermutation())
 		for _, spec := range site.Schedule {
@@ -42,38 +48,66 @@ func run() int {
 	}
 	if len(paths) == 0 {
 		fmt.Fprintln(os.Stderr, "h2get: no paths given (or use -survey)")
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 
-	cl, err := h2.Dial(*addr, h2.ConnConfig{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "h2get: %v\n", err)
-		return 1
-	}
-	defer cl.Close() //nolint:errcheck // process exit follows
+	// HTTP/2 only, without TLS, and one connection: concurrent first
+	// requests would otherwise each dial their own.
+	tr := &http.Transport{MaxConnsPerHost: 1, Protocols: new(http.Protocols)}
+	tr.Protocols.SetUnencryptedHTTP2(true)
+	defer tr.CloseIdleConnections()
+	cl := &http.Client{Transport: tr}
 
 	start := time.Now()
 	if *burst {
-		resps, err := cl.GetMany("h2get.test", paths)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "h2get: %v\n", err)
-			return 1
+		resps := make([]response, len(paths))
+		var wg sync.WaitGroup
+		for i, p := range paths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resps[i] = get(cl, *addr, p)
+			}()
 		}
+		wg.Wait()
 		for i, r := range resps {
-			fmt.Printf("%-40s %d  %6d bytes  (stream %d)\n", paths[i], r.Status, len(r.Body), r.StreamID)
+			if r.err != nil {
+				fmt.Fprintf(os.Stderr, "h2get: %s: %v\n", paths[i], r.err)
+				return 1
+			}
+			fmt.Printf("%-40s %d  %6d bytes\n", paths[i], r.status, r.n)
 		}
+		fmt.Println("(no HTTP/2 stream IDs: net/http does not expose them; h2proxy -monitor prints them)")
 	} else {
 		for _, p := range paths {
 			t0 := time.Now()
-			r, err := cl.Get("h2get.test", p)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "h2get: %s: %v\n", p, err)
+			r := get(cl, *addr, p)
+			if r.err != nil {
+				fmt.Fprintf(os.Stderr, "h2get: %s: %v\n", p, r.err)
 				return 1
 			}
-			fmt.Printf("%-40s %d  %6d bytes  %v\n", p, r.Status, len(r.Body), time.Since(t0).Round(time.Microsecond))
+			fmt.Printf("%-40s %d  %6d bytes  %v\n", p, r.status, r.n, time.Since(t0).Round(time.Microsecond))
 		}
 	}
 	fmt.Printf("total: %d objects in %v\n", len(paths), time.Since(start).Round(time.Millisecond))
 	return 0
+}
+
+// response is one fetched object: its status and body length.
+type response struct {
+	status int
+	n      int64
+	err    error
+}
+
+// get fetches path from addr and counts the body bytes.
+func get(cl *http.Client, addr, path string) response {
+	resp, err := cl.Get("http://" + addr + path)
+	if err != nil {
+		return response{err: err}
+	}
+	defer resp.Body.Close() //nolint:errcheck // body fully read below
+	n, err := io.Copy(io.Discard, resp.Body)
+	return response{status: resp.StatusCode, n: n, err: err}
 }

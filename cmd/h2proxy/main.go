@@ -35,29 +35,37 @@ import (
 )
 
 func main() {
+	os.Exit(run(flag.CommandLine, os.Args[1:]))
+}
+
+// run registers the command's flags on fs, parses args, and relays
+// connections until accepting fails, returning the exit code.
+func run(fs *flag.FlagSet, args []string) int {
 	var (
-		listen   = flag.String("listen", "127.0.0.1:9443", "listen address")
-		target   = flag.String("target", "127.0.0.1:8443", "upstream server address")
-		spacing  = flag.Duration("spacing", 0, "minimum spacing between forwarded client requests")
-		throttle = flag.Int64("throttle", 0, "server->client byte rate limit (bits/sec, 0 = off)")
-		stallAt  = flag.Int("stall-at", 0, "stall responses after the Nth request (0 = off)")
-		stallFor = flag.Duration("stall-for", 3*time.Second, "response stall duration")
-		monitor  = flag.Bool("monitor", false, "print observed frames per direction")
+		listen   = fs.String("listen", "127.0.0.1:9443", "listen address")
+		target   = fs.String("target", "127.0.0.1:8443", "upstream server address")
+		spacing  = fs.Duration("spacing", 0, "minimum spacing between forwarded client requests")
+		throttle = fs.Int64("throttle", 0, "server->client byte rate limit (bits/sec, 0 = off)")
+		stallAt  = fs.Int("stall-at", 0, "stall responses after the Nth request (0 = off)")
+		stallFor = fs.Duration("stall-for", 3*time.Second, "response stall duration")
+		monitor  = fs.Bool("monitor", false, "print observed frames per direction")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "h2proxy: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	log.Printf("h2proxy: %s -> %s (spacing=%v throttle=%d stall-at=%d)",
-		*listen, *target, *spacing, *throttle, *stallAt)
+		ln.Addr(), *target, *spacing, *throttle, *stallAt)
 	for {
 		cc, err := ln.Accept()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "h2proxy: accept: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		p := &proxyConn{
 			client:   cc,
@@ -114,8 +122,8 @@ func (p *proxyConn) run() {
 }
 
 // relayRequests forwards client bytes through a RequestPacer, which
-// re-segments at frame boundaries, spaces out request HEADERS, and
-// feeds the stall trigger.
+// relays them unchanged, spaces out request HEADERS, and feeds the
+// stall trigger.
 func (p *proxyConn) relayRequests(dst io.Writer, src io.Reader) {
 	pacer := h2.NewRequestPacer(dst, p.spacing, true)
 	pacer.OnFrame = func(f h2.Frame) {

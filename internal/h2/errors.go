@@ -1,20 +1,21 @@
-// Package h2 implements the HTTP/2 wire protocol (RFC 7540) and HPACK
+// Package h2 implements the HTTP/2 wire format (RFC 7540) and HPACK
 // header compression (RFC 7541) from scratch on top of the standard
 // library only.
 //
-// The package provides three layers:
+// The package provides three pieces:
 //
-//   - Framing: FrameHeader, the concrete Frame types, and Framer, which
-//     reads and writes frames over any io.ReadWriter.
+//   - Framing: FrameHeader, the concrete Frame types, MarshalFrame and
+//     AppendFrame, and FrameScanner, which splits a byte stream into
+//     frames incrementally.
 //   - HPACK: Encoder and Decoder with the full static table, a dynamic
 //     table, and canonical Huffman coding.
-//   - Endpoints: Server and Client, which speak HTTP/2 over any net.Conn
-//     (cleartext, prior-knowledge mode) with stream multiplexing and
-//     flow control.
+//   - RequestPacer: the attack's jitter knob as an io.Writer relay for
+//     the client-to-server half of a live connection (cmd/h2proxy).
 //
-// The same framing and HPACK layers are reused by the discrete-event
-// simulation endpoints in internal/h2sim, so the bytes on the simulated
-// wire are genuine RFC 7540 bytes.
+// The framing and HPACK layers are what the discrete-event simulation
+// endpoints in internal/h2sim speak, so the bytes on the simulated
+// wire are genuine RFC 7540 bytes. Live endpoints are net/http's
+// prior-knowledge cleartext HTTP/2 (cmd/h2serve, cmd/h2get).
 package h2
 
 import (
@@ -103,19 +104,11 @@ func (e StreamError) Error() string {
 	return fmt.Sprintf("h2: stream %d error: %s: %s", e.StreamID, e.Code, e.Reason)
 }
 
-// Sentinel errors returned by framing and endpoint operations.
+// Sentinel errors returned by framing and HPACK operations.
 var (
 	// ErrFrameTooLarge is returned when a frame exceeds the reader's
 	// SETTINGS_MAX_FRAME_SIZE.
 	ErrFrameTooLarge = errors.New("h2: frame too large")
-
-	// ErrClosed is returned by operations on a closed connection or
-	// stream.
-	ErrClosed = errors.New("h2: closed")
-
-	// ErrBadPreface is returned by a server when the client connection
-	// preface is malformed.
-	ErrBadPreface = errors.New("h2: bad client preface")
 
 	// ErrHeaderListTooLong is returned by the HPACK decoder when the
 	// decoded header list exceeds the configured limit.

@@ -3,25 +3,20 @@ package h2
 import (
 	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// roundTrip writes f through a Framer and reads it back.
+// roundTrip marshals f and scans it back.
 func roundTrip(t *testing.T, f Frame) Frame {
 	t.Helper()
-	var buf bytes.Buffer
-	fr := NewFramer(&buf, &buf)
-	if err := fr.WriteFrame(f); err != nil {
-		t.Fatalf("write %v: %v", f.Header(), err)
+	var sc FrameScanner
+	frames, err := sc.Feed(MarshalFrame(f))
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("read back %v: %d frames, err %v", f.Header(), len(frames), err)
 	}
-	got, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatalf("read back %v: %v", f.Header(), err)
-	}
-	return got
+	return frames[0]
 }
 
 func TestFrameRoundTripAllTypes(t *testing.T) {
@@ -86,33 +81,29 @@ func TestFrameHeaderReservedBitMasked(t *testing.T) {
 	}
 }
 
-func TestFramerRejectsOversizedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewFramer(&buf, nil)
-	if err := w.WriteFrame(&DataFrame{StreamID: 1, Data: make([]byte, 2048)}); err != nil {
-		t.Fatal(err)
-	}
-	r := NewFramer(nil, &buf)
-	r.MaxReadFrameSize = 1024
-	if _, err := r.ReadFrame(); !errors.Is(err, ErrFrameTooLarge) {
+func TestScannerRejectsOversizedFrame(t *testing.T) {
+	sc := FrameScanner{MaxFrameSize: 1024}
+	wire := MarshalFrame(&DataFrame{StreamID: 1, Data: make([]byte, 2048)})
+	if _, err := sc.Feed(wire); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
-func TestFramerEOF(t *testing.T) {
-	r := NewFramer(nil, bytes.NewReader(nil))
-	if _, err := r.ReadFrame(); !errors.Is(err, io.EOF) {
-		t.Errorf("err = %v, want io.EOF", err)
+func TestScannerBuffersTruncatedFrame(t *testing.T) {
+	var sc FrameScanner
+	full := MarshalFrame(&PingFrame{Data: [8]byte{1, 2, 3}})
+	// A truncated header, then a truncated payload, yield nothing.
+	for _, part := range [][]byte{full[:2], full[2 : len(full)-1]} {
+		if frames, err := sc.Feed(part); err != nil || len(frames) != 0 {
+			t.Fatalf("partial frame: %d frames, err %v", len(frames), err)
+		}
 	}
-	// Truncated header / payload yield ErrUnexpectedEOF.
-	r = NewFramer(nil, bytes.NewReader([]byte{0, 0}))
-	if _, err := r.ReadFrame(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated header err = %v, want ErrUnexpectedEOF", err)
+	frames, err := sc.Feed(full[len(full)-1:])
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("completed frame: %d frames, err %v", len(frames), err)
 	}
-	full := MarshalFrame(&PingFrame{})
-	r = NewFramer(nil, bytes.NewReader(full[:len(full)-1]))
-	if _, err := r.ReadFrame(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated payload err = %v, want ErrUnexpectedEOF", err)
+	if got := frames[0].(*PingFrame); got.Data != [8]byte{1, 2, 3} {
+		t.Errorf("ping data = %v", got.Data)
 	}
 }
 
@@ -202,31 +193,6 @@ func TestSettingValidation(t *testing.T) {
 	}
 }
 
-func TestSettingsApplyAndDiff(t *testing.T) {
-	s := DefaultSettings()
-	frame := &SettingsFrame{Settings: []Setting{
-		{SettingInitialWindowSize, 1 << 20},
-		{SettingEnablePush, 0},
-		{SettingMaxConcurrentStreams, 100},
-	}}
-	if err := s.Apply(frame); err != nil {
-		t.Fatal(err)
-	}
-	if s.InitialWindowSize != 1<<20 || s.EnablePush || s.MaxConcurrentStreams != 100 {
-		t.Errorf("applied settings = %+v", s)
-	}
-	var round Settings = DefaultSettings()
-	if err := round.Apply(&SettingsFrame{Settings: s.Diff()}); err != nil {
-		t.Fatal(err)
-	}
-	if round != s {
-		t.Errorf("Diff round trip = %+v, want %+v", round, s)
-	}
-	if len(DefaultSettings().Diff()) != 0 {
-		t.Error("DefaultSettings().Diff() not empty")
-	}
-}
-
 func TestDataFrameQuickRoundTrip(t *testing.T) {
 	f := func(stream uint32, data []byte, end bool, padLen uint8) bool {
 		if stream == 0 {
@@ -239,17 +205,12 @@ func TestDataFrameQuickRoundTrip(t *testing.T) {
 			Padded:    true,
 			PadLength: padLen,
 		}
-		var buf bytes.Buffer
-		fr := NewFramer(&buf, &buf)
-		fr.MaxReadFrameSize = MaxAllowedFrameSize
-		if err := fr.WriteFrame(in); err != nil {
+		sc := FrameScanner{MaxFrameSize: MaxAllowedFrameSize}
+		frames, err := sc.Feed(MarshalFrame(in))
+		if err != nil || len(frames) != 1 {
 			return false
 		}
-		out, err := fr.ReadFrame()
-		if err != nil {
-			return false
-		}
-		got, ok := out.(*DataFrame)
+		got, ok := frames[0].(*DataFrame)
 		if !ok {
 			return false
 		}

@@ -3,6 +3,7 @@ package h2
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // FuzzHpackDecode ensures the HPACK decoder never panics and that
@@ -83,6 +84,33 @@ func FuzzHuffman(f *testing.F) {
 		}
 		if !bytes.Equal(dec, data) {
 			t.Fatal("huffman round trip mismatch")
+		}
+	})
+}
+
+// FuzzRequestPacer: at spacing 0 the pacer relays any byte stream,
+// split at any point, unchanged, with or without an expected preface.
+func FuzzRequestPacer(f *testing.F) {
+	var wire []byte
+	wire = AppendFrame(wire, &SettingsFrame{Settings: []Setting{{SettingEnablePush, 0}}})
+	wire = AppendFrame(wire, &HeadersFrame{StreamID: 1, BlockFragment: []byte{0x82}, EndHeaders: true})
+	wire = AppendFrame(wire, &DataFrame{StreamID: 1, Data: make([]byte, 20000), Padded: true, PadLength: 3})
+	f.Add(append([]byte(ClientPreface), wire...), uint(30), true)
+	f.Add(wire, uint(12), false)
+	f.Add([]byte{0, 0, 5, 1, 0}, uint(2), false)
+	f.Fuzz(func(t *testing.T, data []byte, split uint, preface bool) {
+		var out bytes.Buffer
+		p := NewRequestPacer(&out, 0, preface)
+		p.OnFrame = func(fr Frame) { _ = fr.Header() }
+		p.Sleep = func(time.Duration) { t.Fatal("held a frame at spacing 0") }
+		k := int(split % uint(len(data)+1))
+		for _, part := range [][]byte{data[:k], data[k:]} {
+			if n, err := p.Write(part); err != nil || n != len(part) {
+				t.Fatalf("Write = %d, %v; want %d, nil", n, err, len(part))
+			}
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("relayed %x, want %x", out.Bytes(), data)
 		}
 	})
 }

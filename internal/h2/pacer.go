@@ -6,12 +6,17 @@ import (
 )
 
 // RequestPacer is an io.Writer middlebox for the client→server half
-// of a live HTTP/2 connection: it re-segments the byte stream at
-// frame boundaries and enforces a minimum spacing between frames that
-// open requests (HEADERS), releasing everything else immediately.
-// This is the real-network implementation of the paper's jitter knob:
-// a gateway that holds GET packets so the server never has two
-// requests in flight closer than Spacing apart.
+// of a live HTTP/2 connection: it relays the byte stream unchanged,
+// tracking frame boundaries, and enforces a minimum spacing between
+// frames that open requests (HEADERS), releasing everything else
+// immediately. This is the real-network implementation of the
+// paper's jitter knob: a gateway that holds GET packets so the server
+// never has two requests in flight closer than Spacing apart.
+//
+// Every byte written is forwarded as it arrives, in order and
+// unmodified; the pacer buffers nothing it relays. A HEADERS frame is
+// held from its first byte when that byte arrives in the same Write
+// as the frame's type octet, and otherwise from the type octet.
 //
 // Write blocks while holding a request frame, so run the pacer inside
 // its own relay goroutine. The zero value is not usable; construct
@@ -20,16 +25,21 @@ type RequestPacer struct {
 	dst     io.Writer
 	spacing time.Duration
 
-	// OnFrame, when non-nil, observes every parsed frame (after the
-	// preface) in order.
+	// OnFrame, when non-nil, observes every frame (after the preface)
+	// that parses, in order, once its last byte has been written to
+	// the pacer. The frame aliases the pacer's buffer and is valid
+	// only during the call.
 	OnFrame func(Frame)
 
 	// Sleep is the blocking wait used between releases; overridable
 	// for tests. Defaults to time.Sleep.
 	Sleep func(time.Duration)
 
-	scanner     FrameScanner
 	prefaceLeft int
+	hdr         [FrameHeaderLen]byte // the current frame's header
+	nhdr        int                  // header bytes of the current frame seen
+	left        int                  // payload bytes of the current frame still to come
+	payload     []byte               // the current frame's payload, kept for OnFrame
 	lastRelease time.Time
 }
 
@@ -48,45 +58,71 @@ func NewRequestPacer(dst io.Writer, spacing time.Duration, expectPreface bool) *
 // consecutive requests are at least Spacing apart on the upstream
 // side. It always reports len(b) on success.
 func (p *RequestPacer) Write(b []byte) (int, error) {
-	total := len(b)
-	// Forward any remaining preface bytes untouched.
-	if p.prefaceLeft > 0 {
-		n := p.prefaceLeft
-		if n > len(b) {
-			n = len(b)
-		}
-		if _, err := p.dst.Write(b[:n]); err != nil {
-			return 0, err
-		}
-		p.prefaceLeft -= n
-		b = b[n:]
-		if len(b) == 0 {
-			return total, nil
-		}
-	}
-	frames, err := p.scanner.Feed(b)
-	if err != nil {
-		// Not parseable as HTTP/2: fall back to transparent relay.
-		if _, werr := p.dst.Write(b); werr != nil {
-			return 0, werr
-		}
-		return total, nil
-	}
-	for _, f := range frames {
-		if p.OnFrame != nil {
-			p.OnFrame(f)
-		}
-		if _, isReq := f.(*HeadersFrame); isReq && p.spacing > 0 {
-			if wait := time.Until(p.lastRelease.Add(p.spacing)); wait > 0 {
-				p.Sleep(wait)
+	i := min(p.prefaceLeft, len(b))
+	p.prefaceLeft -= i
+	start := 0    // b[start:] has not been written to dst yet
+	frameAt := -1 // where the current frame starts in b, if it does
+	for i < len(b) {
+		if p.nhdr < FrameHeaderLen {
+			if p.nhdr == 0 {
+				frameAt = i
 			}
-			p.lastRelease = time.Now()
+			if p.nhdr == 3 && FrameType(b[i]) == FrameHeaders && p.spacing > 0 {
+				cut := i
+				if frameAt >= 0 {
+					cut = frameAt
+				}
+				if _, err := p.dst.Write(b[start:cut]); err != nil {
+					return 0, err
+				}
+				start = cut
+				p.hold()
+			}
+			p.hdr[p.nhdr] = b[i]
+			p.nhdr++
+			i++
+			if p.nhdr == FrameHeaderLen {
+				p.left = int(parseFrameHeader(p.hdr[:]).Length)
+				p.payload = p.payload[:0]
+			}
+		} else {
+			n := min(p.left, len(b)-i)
+			if p.OnFrame != nil {
+				p.payload = append(p.payload, b[i:i+n]...)
+			}
+			p.left -= n
+			i += n
 		}
-		if _, err := p.dst.Write(MarshalFrame(f)); err != nil {
+		if p.nhdr == FrameHeaderLen && p.left == 0 {
+			p.observe()
+			p.nhdr = 0
+		}
+	}
+	if start < len(b) {
+		if _, err := p.dst.Write(b[start:]); err != nil {
 			return 0, err
 		}
 	}
-	return total, nil
+	return len(b), nil
+}
+
+// hold blocks until Spacing has passed since the previous release.
+func (p *RequestPacer) hold() {
+	if wait := time.Until(p.lastRelease.Add(p.spacing)); wait > 0 {
+		p.Sleep(wait)
+	}
+	p.lastRelease = time.Now()
+}
+
+// observe hands the just-completed frame to OnFrame. A frame that
+// does not parse is relayed all the same, just not observed.
+func (p *RequestPacer) observe() {
+	if p.OnFrame == nil {
+		return
+	}
+	if f, err := ParseFramePayload(parseFrameHeader(p.hdr[:]), p.payload); err == nil {
+		p.OnFrame(f)
+	}
 }
 
 var _ io.Writer = (*RequestPacer)(nil)

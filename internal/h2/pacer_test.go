@@ -96,3 +96,96 @@ func TestPacerObservesFrames(t *testing.T) {
 		}
 	}
 }
+
+// A frame larger than the default 16 KiB maximum, arriving after a
+// frame split across writes, must not cost the split frame's bytes.
+func TestPacerRelaysOversizedFrameAfterSplit(t *testing.T) {
+	var out bytes.Buffer
+	p := NewRequestPacer(&out, 0, false)
+	p.OnFrame = func(Frame) {}
+	wire := MarshalFrame(&DataFrame{StreamID: 1, Data: make([]byte, 1000)})
+	wire = AppendFrame(wire, &DataFrame{StreamID: 3, Data: make([]byte, 20000)})
+	for _, part := range [][]byte{wire[:500], wire[500:]} {
+		if _, err := p.Write(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out.Bytes(), wire) {
+		t.Errorf("relayed %d bytes, want the %d written unchanged", out.Len(), len(wire))
+	}
+}
+
+// Padding bytes are relayed as written, not re-marshalled as zeros.
+func TestPacerKeepsPadding(t *testing.T) {
+	wire := MarshalFrame(&DataFrame{StreamID: 1, Data: []byte("body"), Padded: true, PadLength: 4})
+	copy(wire[len(wire)-4:], "\xaa\xbb\xcc\xdd")
+	var out bytes.Buffer
+	p := NewRequestPacer(&out, 0, false)
+	var seen []byte
+	p.OnFrame = func(f Frame) { seen = append(seen, f.(*DataFrame).Data...) }
+	if _, err := p.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), wire) {
+		t.Errorf("padding rewritten:\n got %x\nwant %x", out.Bytes(), wire)
+	}
+	if string(seen) != "body" {
+		t.Errorf("OnFrame saw data %q, want %q", seen, "body")
+	}
+}
+
+// Bytes ahead of a held request leave before the hold. A HEADERS
+// frame that arrives whole is held whole; one whose header straddles
+// writes is held from its type octet on.
+func TestPacerReleasesBytesBeforeHeldRequest(t *testing.T) {
+	data := MarshalFrame(&DataFrame{StreamID: 1, Data: []byte("ahead")})
+	req := MarshalFrame(&HeadersFrame{StreamID: 3, BlockFragment: []byte{0x82}, EndHeaders: true})
+	wire := append(append([]byte{}, data...), req...)
+	for _, c := range []struct{ split, beforeHold int }{
+		{len(wire), len(data)},
+		{len(data) + 2, len(data) + 3},
+	} {
+		var out bytes.Buffer
+		p := NewRequestPacer(&out, time.Second, false)
+		p.lastRelease = time.Now() // the request must wait
+		holds := 0
+		p.Sleep = func(time.Duration) {
+			holds++
+			if !bytes.Equal(out.Bytes(), wire[:c.beforeHold]) {
+				t.Errorf("split %d: wrote %x before the hold, want %x", c.split, out.Bytes(), wire[:c.beforeHold])
+			}
+		}
+		for _, part := range [][]byte{wire[:c.split], wire[c.split:]} {
+			if _, err := p.Write(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if holds != 1 || !bytes.Equal(out.Bytes(), wire) {
+			t.Errorf("split %d: %d holds, relayed %x, want 1 hold and %x", c.split, holds, out.Bytes(), wire)
+		}
+	}
+}
+
+// A frame of a type the pacer does not know is relayed unchanged and
+// at once, and observed as an UnknownFrame.
+func TestUnknownFrameTypeIgnored(t *testing.T) {
+	wire := MarshalFrame(&UnknownFrame{FH: FrameHeader{Type: FrameType(0x77), StreamID: 1}, Payload: []byte{1, 2, 3}})
+	wire = AppendFrame(wire, &DataFrame{StreamID: 1, Data: []byte("after")})
+	var out bytes.Buffer
+	p := NewRequestPacer(&out, time.Second, false)
+	p.Sleep = func(time.Duration) { t.Error("unknown frame was held") }
+	var seen []Frame
+	p.OnFrame = func(f Frame) { seen = append(seen, f) }
+	if _, err := p.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), wire) {
+		t.Errorf("relayed %x, want %x", out.Bytes(), wire)
+	}
+	if len(seen) != 2 {
+		t.Fatalf("observed %d frames, want 2", len(seen))
+	}
+	if u, ok := seen[0].(*UnknownFrame); !ok || u.FH.Type != 0x77 {
+		t.Errorf("first frame observed as %T %v, want UnknownFrame of type 0x77", seen[0], seen[0].Header())
+	}
+}
