@@ -44,39 +44,41 @@ check-golden:
 	diff -u experiments_output.txt $$tmp && \
 	rm -f $$tmp && echo "golden OK"
 
-# Pipeline smoke: a small survey campaign through the JSONL exporter
-# with a mid-campaign stop and a checkpointed resume, verifying the
-# resumed output is byte-identical to an uninterrupted run. Mirrors
-# the CI pipeline-smoke step; campaign scratch lives in campaigns/
-# (gitignored).
+# Pipeline smoke: a small survey campaign through the JSONL and obs
+# exporters with a mid-campaign stop and a checkpointed resume,
+# verifying both resumed files are byte-identical to an uninterrupted
+# run's. Mirrors the CI pipeline-smoke step; campaign scratch lives in
+# campaigns/ (gitignored).
 survey-smoke:
 	@rm -rf campaigns/smoke && mkdir -p campaigns/smoke
 	go run ./cmd/h2attack -survey -corpus 40 \
-		-export jsonl=campaigns/smoke/ref.jsonl > /dev/null
+		-export jsonl=campaigns/smoke/ref.jsonl,obs=campaigns/smoke/ref.obs.json > /dev/null
 	go run ./cmd/h2attack -survey -corpus 40 \
-		-export summary,jsonl=campaigns/smoke/out.jsonl \
+		-export summary,jsonl=campaigns/smoke/out.jsonl,obs=campaigns/smoke/out.obs.json \
 		-checkpoint campaigns/smoke/ck.json -checkpoint-every 7 -max-trials 17 > /dev/null
 	go run ./cmd/h2attack -survey -corpus 40 \
-		-export summary,jsonl=campaigns/smoke/out.jsonl \
+		-export summary,jsonl=campaigns/smoke/out.jsonl,obs=campaigns/smoke/out.obs.json \
 		-checkpoint campaigns/smoke/ck.json -checkpoint-every 7
-	cmp campaigns/smoke/ref.jsonl campaigns/smoke/out.jsonl && echo "survey-smoke OK"
+	cmp campaigns/smoke/ref.jsonl campaigns/smoke/out.jsonl
+	cmp campaigns/smoke/ref.obs.json campaigns/smoke/out.obs.json && echo "survey-smoke OK"
 
 # Scale-out smoke: the same campaign (two sweeps + a small survey)
 # run single-process and as three shard processes via scripts/shard.sh
-# must produce byte-identical tables, survey JSONL, and -metrics-json.
+# must produce byte-identical tables, -metrics text, survey JSONL, and
+# -metrics-json.
 # Deliberately uses different -j for the two runs: output must not
 # depend on worker count either. Mirrors the CI shard-merge-smoke job;
 # scratch lives in campaigns/ (gitignored).
 shard-smoke:
 	@rm -rf campaigns/shardsmoke && mkdir -p campaigns/shardsmoke
 	go run ./cmd/h2attack -table1 -delay -trials 6 -seed 5 -j 3 \
-		-metrics-json campaigns/shardsmoke/single.metrics.json \
+		-metrics -metrics-json campaigns/shardsmoke/single.metrics.json \
 		-survey -corpus 24 -site-trials 2 \
 		-export summary,jsonl=campaigns/shardsmoke/single.jsonl \
 		> campaigns/shardsmoke/single.out
 	sh scripts/shard.sh 3 campaigns/shardsmoke/bundles \
 		-table1 -delay -trials 6 -seed 5 -j 2 \
-		-metrics-json campaigns/shardsmoke/merged.metrics.json \
+		-metrics -metrics-json campaigns/shardsmoke/merged.metrics.json \
 		-survey -corpus 24 -site-trials 2 \
 		-export summary,jsonl=campaigns/shardsmoke/merged.jsonl \
 		> campaigns/shardsmoke/merged.out

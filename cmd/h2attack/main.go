@@ -53,10 +53,10 @@
 // on or off.
 //
 // -metrics prints a cross-layer metrics summary after each sweep
-// (counters and histograms per configuration segment, plus wall-clock
-// throughput); -metrics-json FILE exports the same snapshots as JSON
-// next to the BENCH_*.json baselines. The sim-domain portion of both
-// is byte-identical at every -j.
+// (counters and histograms per configuration segment); -metrics-json
+// FILE exports the same snapshots as JSON next to the BENCH_*.json
+// baselines. Both are byte-identical at every -j. Throughput and
+// latency come from -progress and -status instead.
 package main
 
 import (

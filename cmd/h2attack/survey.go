@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/experiment"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/runner"
 	"repro/internal/website"
@@ -52,10 +51,10 @@ func runSurvey(f surveyFlags) error {
 	var (
 		exporters []pipeline.Exporter[experiment.CorpusTrialParams, experiment.SurveyResult]
 		summary   *experiment.SurveySummary
-		reg       *obs.Registry
+		st        *experiment.ObsState
 	)
 	if f.metrics {
-		reg = obs.NewRegistry()
+		st = experiment.NewObsState()
 	}
 	for _, spec := range strings.Split(f.export, ",") {
 		spec = strings.TrimSpace(spec)
@@ -72,10 +71,10 @@ func runSurvey(f surveyFlags) error {
 		case name == "jsonl" && hasArg:
 			exporters = append(exporters, experiment.SurveyJSONL(arg))
 		case name == "obs" && hasArg:
-			if reg == nil {
-				reg = obs.NewRegistry()
+			if st == nil {
+				st = experiment.NewObsState()
 			}
-			exporters = append(exporters, experiment.SurveyObsExport(reg, arg))
+			exporters = append(exporters, experiment.SurveyObsExport(st, arg))
 		default:
 			return fmt.Errorf("-export: unknown spec %q (want summary, jsonl=FILE, or obs=FILE)", spec)
 		}
@@ -83,8 +82,8 @@ func runSurvey(f surveyFlags) error {
 	if len(exporters) == 0 {
 		return fmt.Errorf("-export: no exporters configured")
 	}
-	if reg != nil {
-		s.SetMetrics(reg)
+	if st != nil {
+		s.SetMetrics(st.Reg)
 	}
 
 	f.plane.campaign(s.Name(), s.Fingerprint(), "", s.Trials())
@@ -124,8 +123,12 @@ func runSurvey(f surveyFlags) error {
 		fmt.Println()
 		fmt.Print(summary.Format())
 	}
-	if reg != nil && f.metrics {
-		fmt.Printf("\nmetrics: survey\n%s\n", reg.Snapshot().Text())
+	if f.metrics {
+		snap, err := st.Snapshot()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\nmetrics: survey\n%s\n", snap.Text())
 	}
 	return nil
 }

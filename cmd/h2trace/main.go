@@ -35,17 +35,21 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(flag.CommandLine, os.Args[1:]))
 }
 
-func run() int {
+// run registers the command's flags on fs, parses args, and exports
+// one trial's traces, returning the exit code.
+func run(fs *flag.FlagSet, args []string) int {
 	var (
-		seed   = flag.Int64("seed", 1, "trial seed")
-		mode   = flag.String("mode", "attack", "adversary: passive | jitter | attack")
-		out    = flag.String("out", "trace", "output prefix (csv) or file (perfetto); - for stdout")
-		format = flag.String("format", "csv", "export format: csv | perfetto")
+		seed   = fs.Int64("seed", 1, "trial seed")
+		mode   = fs.String("mode", "attack", "adversary: passive | jitter | attack")
+		out    = fs.String("out", "trace", "output prefix (csv) or file (perfetto); - for stdout")
+		format = fs.String("format", "csv", "export format: csv | perfetto")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var rec *obs.Recorder
 	cfg := h2sim.SessionConfig{Seed: *seed}

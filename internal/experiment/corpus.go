@@ -118,10 +118,6 @@ func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) Sur
 	// The shard is held for the whole trial (see World.RunTrial).
 	w.shard.Lock()
 	defer w.shard.Unlock()
-	var wallStart time.Time
-	if w.shard != nil {
-		wallStart = time.Now()
-	}
 	w.rng.Seed(p.Seed)
 	path, _ := ambient(w.rng) // think time is baked into the site's schedule
 	site := gs.Site
@@ -203,9 +199,6 @@ func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) Sur
 	if res.PageComplete {
 		sink.Inc(obs.CTrialComplete)
 	}
-	if w.shard != nil {
-		w.shard.ObserveTrialWall(time.Since(wallStart))
-	}
 	return res
 }
 
@@ -251,7 +244,9 @@ func (s *Survey) Corpus() *website.Corpus { return s.corpus }
 
 // SetMetrics collects the campaign's cross-layer metrics into reg,
 // segmented by site-size bucket (sweep Metrics-option semantics).
-// On a resumed campaign the snapshot covers only the resumed portion.
+// reg covers only this process's trials; to cover a resumed campaign
+// whole, pass an ObsState's Reg and export the ObsState through
+// SurveyObsExport, which checkpoints it.
 func (s *Survey) SetMetrics(reg *obs.Registry) {
 	if reg != nil {
 		reg.SetSegments(objectBucketLabels...)
@@ -313,8 +308,8 @@ func (s *Survey) Run(cfg pipeline.Config, exporters ...pipeline.Exporter[CorpusT
 	newState := func() *surveyWorker {
 		w := NewWorld()
 		if s.metrics != nil {
-			// Trial latency lands in the worker's own shard (see
-			// World.RunSiteTrial); no per-trial registry lock.
+			// Each world writes its own shard; no per-trial
+			// registry lock.
 			w.SetMetrics(s.metrics.NewShard())
 		}
 		return &surveyWorker{w: w, s: s}
@@ -473,18 +468,25 @@ func (s *SurveySummary) Format() string {
 }
 
 // SurveyObsExport is the obs-snapshot exporter: at campaign
-// completion it writes reg's deterministic merged snapshot to path as
-// JSON (MarshalSweeps format, one "survey" sweep). It is stateless —
-// on a resumed campaign the snapshot covers only the trials run since
-// the resume, because worker shards live in memory.
-func SurveyObsExport(reg *obs.Registry, path string) pipeline.Exporter[CorpusTrialParams, SurveyResult] {
+// completion it writes st's merged snapshot to path as JSON
+// (MarshalSweeps format, one "survey" sweep). It checkpoints and
+// restores st like ObsStateExporter, so the file of a resumed
+// campaign covers every trial, byte-identical to an uninterrupted
+// run's.
+func SurveyObsExport(st *ObsState, path string) pipeline.Exporter[CorpusTrialParams, SurveyResult] {
 	return pipeline.Funcs[CorpusTrialParams, SurveyResult]{
 		ExporterName: "obs",
+		OnCheckpoint: st.checkpoint,
+		OnRestore:    st.restore,
 		OnClose: func(done bool) error {
 			if !done {
 				return nil
 			}
-			data, err := obs.MarshalSweeps(map[string]*obs.Snapshot{"survey": reg.Snapshot()})
+			snap, err := st.Snapshot()
+			if err != nil {
+				return err
+			}
+			data, err := obs.MarshalSweeps(map[string]*obs.Snapshot{"survey": snap})
 			if err != nil {
 				return err
 			}

@@ -110,6 +110,50 @@ func TestSurveyResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSurveyResumeObsExport pins that the obs= export of a stopped
+// and resumed survey covers the trials run before the stop: its file
+// must be byte-equal to an uninterrupted run's.
+func TestSurveyResumeObsExport(t *testing.T) {
+	cfg := testSurveyConfig(17)
+	dir := t.TempDir()
+	run := func(pcfg pipeline.Config, path string) pipeline.Summary {
+		t.Helper()
+		st := NewObsState()
+		s := NewSurvey(cfg)
+		s.SetMetrics(st.Reg)
+		sum, err := s.Run(pcfg, SurveyObsExport(st, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	ref := filepath.Join(dir, "ref.obs.json")
+	run(pipeline.Config{Workers: 4}, ref)
+
+	path := filepath.Join(dir, "out.obs.json")
+	ckpt := filepath.Join(dir, "ck.json")
+	if sum := run(pipeline.Config{Workers: 4, Checkpoint: ckpt, CheckpointEvery: 4, MaxTrials: 9}, path); sum.Done {
+		t.Fatalf("interrupted survey finished: %+v", sum)
+	}
+	if sum := run(pipeline.Config{Workers: 4, Checkpoint: ckpt, CheckpointEvery: 4}, path); !sum.Done || sum.Start != 9 {
+		t.Fatalf("resumed survey: %+v", sum)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed obs export differs from uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+	if !strings.Contains(string(want), `"name": "trial.count"`) {
+		t.Fatalf("obs export has no trial.count:\n%s", want)
+	}
+}
+
 // TestSurveyResumeRefusesShortFile cuts a checkpointed survey's JSONL
 // below its checkpointed offset. Truncating to the offset would pad
 // the file with NUL bytes, so the resume must fail, name the file,

@@ -38,16 +38,10 @@ func (o *ObsState) Snapshot() (*obs.Snapshot, error) {
 	if o.base == nil {
 		return live, nil
 	}
-	// Clone the base through its wire form so repeated snapshots do
-	// not accumulate into it.
-	data, err := json.Marshal(o.base)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: obs state: %w", err)
-	}
-	merged := &obs.Snapshot{}
-	if err := json.Unmarshal(data, merged); err != nil {
-		return nil, fmt.Errorf("experiment: obs state: %w", err)
-	}
+	// Merge replaces segment entries and never mutates them, so
+	// merging into a copy of the base's slice leaves the base intact
+	// for the next call.
+	merged := &obs.Snapshot{Segments: append([]obs.SegmentSnapshot(nil), o.base.Segments...)}
 	if err := merged.Merge(live); err != nil {
 		return nil, fmt.Errorf("experiment: obs state: %w", err)
 	}
@@ -64,13 +58,17 @@ func (o *ObsState) checkpoint() (json.RawMessage, error) {
 }
 
 // restore loads a previous incarnation's combined snapshot as the new
-// base.
+// base. A null state (a survey checkpoint written when the obs
+// exporter kept no state) restores no base.
 func (o *ObsState) restore(state json.RawMessage) error {
 	base := &obs.Snapshot{}
 	if err := json.Unmarshal(state, base); err != nil {
 		return fmt.Errorf("experiment: obs state: %w", err)
 	}
-	o.base = base
+	o.base = nil
+	if base.Segments != nil {
+		o.base = base
+	}
 	return nil
 }
 

@@ -46,8 +46,8 @@ func OnProgress(f func(runner.Progress)) Option {
 
 // Metrics collects the sweep's cross-layer metrics into reg: each
 // worker gets one shard (merged by reg.Snapshot at the caller's
-// leisure), the sweep labels reg's segments with its configuration
-// axis, and per-trial wall-clock latency feeds reg's wall section.
+// leisure) and the sweep labels reg's segments with its configuration
+// axis.
 // Use a fresh Registry per sweep; the sim-domain snapshot is
 // byte-identical at any worker count.
 func Metrics(reg *obs.Registry) Option {
@@ -90,9 +90,8 @@ func runTrials(n int, opts []Option, mk func(i int) TrialParams) []TrialResult {
 		reg := cfg.metrics
 		newState = func() *World {
 			w := NewWorld()
-			// The world times its own trials into the shard's wall
-			// histogram; no per-trial registry lock on the dispatch
-			// path.
+			// Each world writes its own shard; no per-trial registry
+			// lock on the dispatch path.
 			w.SetMetrics(reg.NewShard())
 			return w
 		}

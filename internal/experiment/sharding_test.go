@@ -5,8 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/shard"
 )
@@ -151,13 +151,21 @@ func TestShardObsExactAcrossInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DeterministicText() != want.DeterministicText() {
-		t.Fatalf("resumed metrics differ from uninterrupted run:\n%s\nvs\n%s",
-			got.DeterministicText(), want.DeterministicText())
+	if got.Text() != want.Text() {
+		t.Fatalf("resumed metrics differ from uninterrupted run:\n%s\nvs\n%s", got.Text(), want.Text())
 	}
-	if got.Wall == nil || want.Wall == nil || got.Wall.Trials != want.Wall.Trials {
-		t.Fatalf("resumed wall = %+v, want %+v", got.Wall, want.Wall)
+	if n := trialCount(got); n != uint64(d.Trials) {
+		t.Fatalf("resumed trial.count = %d, want %d", n, d.Trials)
 	}
+}
+
+// trialCount sums the trial.count counter over a snapshot's segments.
+func trialCount(snap *obs.Snapshot) uint64 {
+	var n uint64
+	for i := range snap.Segments {
+		n += snap.Segments[i].Counter("trial.count")
+	}
+	return n
 }
 
 // TestObsStateSurvivesRestart pins the shard-resume metrics contract:
@@ -169,9 +177,14 @@ func TestObsStateSurvivesRestart(t *testing.T) {
 
 	first := NewObsState()
 	first.Reg.SetSegments("a", "b")
+	trial := func(st *ObsState, seg int, cwnd int64) {
+		k := st.Reg.NewShard().Sink(seg)
+		k.Inc(obs.CTrial)
+		k.Observe(obs.HTCPCwnd, cwnd)
+	}
 	for i := 0; i < 10; i++ {
-		first.Reg.NewShard().ObserveTrialWall(time.Millisecond)
-		whole.Reg.NewShard().ObserveTrialWall(time.Millisecond)
+		trial(first, i%2, 1000)
+		trial(whole, i%2, 1000)
 	}
 	state, err := first.checkpoint()
 	if err != nil {
@@ -184,8 +197,8 @@ func TestObsStateSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		second.Reg.NewShard().ObserveTrialWall(2 * time.Millisecond)
-		whole.Reg.NewShard().ObserveTrialWall(2 * time.Millisecond)
+		trial(second, i%2, 2000)
+		trial(whole, i%2, 2000)
 	}
 
 	got, err := second.Snapshot()
@@ -196,22 +209,37 @@ func TestObsStateSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Wall == nil || got.Wall.Trials != want.Wall.Trials {
-		t.Fatalf("restarted wall trials = %+v, want %d", got.Wall, want.Wall.Trials)
+	if n := trialCount(got); n != 17 {
+		t.Fatalf("restarted trial.count = %d, want 17", n)
 	}
-	if got.Wall.Hist.Sum != want.Wall.Hist.Sum {
-		t.Fatalf("restarted wall sum = %d, want %d", got.Wall.Hist.Sum, want.Wall.Hist.Sum)
-	}
-	if got.DeterministicText() != want.DeterministicText() {
-		t.Fatalf("restarted deterministic text differs:\n%s\nvs\n%s",
-			got.DeterministicText(), want.DeterministicText())
+	if got.Text() != want.Text() {
+		t.Fatalf("restarted text differs:\n%s\nvs\n%s", got.Text(), want.Text())
 	}
 	// Repeated snapshots must not double-count the restored base.
 	again, err := second.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Wall.Trials != got.Wall.Trials {
-		t.Fatalf("second Snapshot() changed wall trials: %d vs %d", again.Wall.Trials, got.Wall.Trials)
+	if again.Text() != want.Text() {
+		t.Fatalf("second Snapshot() differs:\n%s\nvs\n%s", again.Text(), want.Text())
+	}
+}
+
+// TestObsStateRestoresNullState covers a survey checkpoint written
+// when the obs exporter kept no state: its "null" entry must restore
+// no base, so the resumed snapshot is the live registry's alone.
+func TestObsStateRestoresNullState(t *testing.T) {
+	st := NewObsState()
+	st.Reg.SetSegments("a", "b")
+	if err := st.restore([]byte("null")); err != nil {
+		t.Fatal(err)
+	}
+	st.Reg.NewShard().Sink(1).Inc(obs.CTrial)
+	got, err := st.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot after null restore: %v", err)
+	}
+	if n := trialCount(got); n != 1 {
+		t.Fatalf("trial.count = %d, want 1", n)
 	}
 }

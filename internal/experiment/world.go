@@ -66,14 +66,9 @@ func (w *World) SetRecorder(rec *obs.Recorder) { w.rec = rec }
 func (w *World) RunTrial(p TrialParams) TrialResult {
 	// The shard is held for the whole trial, so a registry snapshot
 	// taken meanwhile (a periodic checkpoint) never reads it half
-	// written. Trial latency feeds the worker's own shard (merged into
-	// the registry's wall section at snapshot time).
+	// written.
 	w.shard.Lock()
 	defer w.shard.Unlock()
-	var wallStart time.Time
-	if w.shard != nil {
-		wallStart = time.Now()
-	}
 	// Re-seeding replays the exact stream a fresh
 	// rand.New(rand.NewSource(p.Seed)) would produce, so the survey
 	// outcome and ambient draws match the fresh-world path.
@@ -170,9 +165,6 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 	}
 	if res.PageComplete {
 		sink.Inc(obs.CTrialComplete)
-	}
-	if w.shard != nil {
-		w.shard.ObserveTrialWall(time.Since(wallStart))
 	}
 	return res
 }

@@ -143,7 +143,7 @@ func TestRegistryMergeDeterminism(t *testing.T) {
 			k.Add(CH2Request, uint64(trial%7))
 			k.Observe(HTCPCwnd, int64(trial*trial))
 		}
-		return r.Snapshot().DeterministicText()
+		return r.Snapshot().Text()
 	}
 	ref := run(1)
 	for _, n := range []int{2, 3, 8} {
@@ -153,22 +153,6 @@ func TestRegistryMergeDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(ref, "trial.count") || !strings.Contains(ref, "tcp.cwnd_bytes") {
 		t.Fatalf("snapshot text missing expected metrics:\n%s", ref)
-	}
-}
-
-func TestSnapshotWallSectionExcludedFromDeterministicText(t *testing.T) {
-	r := NewRegistry()
-	s := r.NewShard()
-	s.Sink(0).Inc(CTrial)
-	r.ObserveTrialWall(2 * time.Millisecond)
-	snap := r.Snapshot()
-	det := snap.DeterministicText()
-	full := snap.Text()
-	if strings.Contains(det, "wall clock") {
-		t.Fatal("deterministic text contains wall section")
-	}
-	if !strings.Contains(full, "wall clock") || !strings.Contains(full, "trials/s") {
-		t.Fatalf("full text missing wall section:\n%s", full)
 	}
 }
 
@@ -242,7 +226,7 @@ func TestMarshalSweeps(t *testing.T) {
 // TestSnapshotDuringTrials takes snapshots while two workers record
 // trials, as a periodic checkpoint does. Under -race it pins that the
 // snapshot and the workers do not race, and every snapshot must see
-// whole trials: each trial's counter and its wall sample together.
+// whole trials: both of each trial's counters or neither.
 func TestSnapshotDuringTrials(t *testing.T) {
 	const workers, trials = 2, 2000
 	r := NewRegistry()
@@ -254,20 +238,18 @@ func TestSnapshotDuringTrials(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < trials; i++ {
 				s.Lock()
-				s.Sink(0).Inc(CTrial)
-				s.ObserveTrialWall(time.Microsecond)
+				k := s.Sink(0)
+				k.Inc(CTrial)
+				k.Inc(CTrialComplete)
 				s.Unlock()
 			}
 		}()
 	}
 	check := func(snap *Snapshot) uint64 {
-		count := snap.Segment("all").Counter("trial.count")
-		var wall uint64
-		if snap.Wall != nil {
-			wall = snap.Wall.Trials
-		}
-		if count != wall {
-			t.Fatalf("snapshot saw %d trial counts but %d wall samples", count, wall)
+		seg := snap.Segment("all")
+		count, complete := seg.Counter("trial.count"), seg.Counter("trial.page_complete")
+		if count != complete {
+			t.Fatalf("snapshot saw %d trial counts but %d page completions", count, complete)
 		}
 		return count
 	}

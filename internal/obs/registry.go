@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Registry is the merge point of one sweep's metrics: it hands out
@@ -16,23 +15,15 @@ import (
 // set, give each configuration of a sweep its own aggregate (the
 // jitter values of Table I, the drop rates of §IV-D, …), so the
 // summary can show how a counter moves across the sweep axis.
-//
-// The registry also accumulates the only wall-clock metrics in the
-// stack — per-trial latency samples fed by the runner — under its own
-// lock, kept strictly apart from the deterministic sim-domain cells.
 type Registry struct {
 	mu     sync.Mutex
 	labels []string
 	shards []*Shard
-
-	wallHist  Hist
-	wallCount uint64
-	start     time.Time
 }
 
 // NewRegistry returns an empty single-segment registry.
 func NewRegistry() *Registry {
-	return &Registry{labels: []string{"all"}, start: time.Now()}
+	return &Registry{labels: []string{"all"}}
 }
 
 // SetSegments declares the sweep's configuration axis: one label per
@@ -62,28 +53,15 @@ func (r *Registry) NewShard() *Shard {
 	return s
 }
 
-// ObserveTrialWall folds one trial's wall-clock latency into the wall
-// section under the registry lock. Safe for concurrent use, but the
-// hot path should prefer the worker's own Shard.ObserveTrialWall —
-// the snapshot merges both.
-func (r *Registry) ObserveTrialWall(d time.Duration) {
-	r.mu.Lock()
-	r.wallHist.Observe(int64(d))
-	r.wallCount++
-	r.mu.Unlock()
-}
-
 // Snapshot merges every shard into one aggregate. Because all cells
-// are integers and merging is addition, the sim-domain sections are
-// identical for any partition of the same trials across shards — the
-// worker-count determinism guarantee.
+// are integers and merging is addition, the snapshot is identical for
+// any partition of the same trials across shards — the worker-count
+// determinism guarantee.
 func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	snap := &Snapshot{Elapsed: time.Since(r.start)}
+	snap := &Snapshot{}
 	merged := make([]block, len(r.labels))
-	wall := r.wallHist
-	trials := r.wallCount
 	for _, s := range r.shards {
 		s.mu.Lock()
 		for i := range merged {
@@ -91,15 +69,10 @@ func (r *Registry) Snapshot() *Snapshot {
 				merged[i].merge(&s.segs[i])
 			}
 		}
-		wall.Merge(&s.wall)
-		trials += s.wall.Count
 		s.mu.Unlock()
 	}
 	for i, label := range r.labels {
 		snap.Segments = append(snap.Segments, segmentFromBlock(label, &merged[i]))
-	}
-	if trials > 0 {
-		snap.Wall = &WallSnapshot{Trials: trials, Hist: wall}
 	}
 	return snap
 }
@@ -222,49 +195,14 @@ func (s *SegmentSnapshot) Counter(name string) uint64 {
 	return 0
 }
 
-// WallSnapshot is the non-deterministic wall-clock section.
-type WallSnapshot struct {
-	Trials uint64 `json:"trials"`
-	Hist   Hist   `json:"-"`
-}
-
-// MarshalJSON exports the wall section's summary statistics plus the
-// full latency bucket list, so a serialized shard snapshot carries
-// enough to aggregate wall sections across processes.
-func (w *WallSnapshot) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Trials     uint64           `json:"trials"`
-		SumNanos   uint64           `json:"sum_ns"`
-		MeanNanos  uint64           `json:"mean_ns"`
-		P50LENanos uint64           `json:"p50_le_ns"`
-		P99LENanos uint64           `json:"p99_le_ns"`
-		Buckets    []histBucketJSON `json:"buckets,omitempty"`
-	}{w.Trials, w.Hist.Sum, uint64(w.Hist.Mean()), w.Hist.Quantile(0.50), w.Hist.Quantile(0.99), packBuckets(&w.Hist)})
-}
-
-// UnmarshalJSON reverses MarshalJSON (derived statistics are
-// recomputed from the buckets, not trusted from the wire).
-func (w *WallSnapshot) UnmarshalJSON(data []byte) error {
-	var in struct {
-		Trials   uint64           `json:"trials"`
-		SumNanos uint64           `json:"sum_ns"`
-		Buckets  []histBucketJSON `json:"buckets"`
-	}
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*w = WallSnapshot{Trials: in.Trials, Hist: Hist{Count: in.Trials, Sum: in.SumNanos}}
-	return unpackBuckets(&w.Hist, in.Buckets)
-}
-
 // Snapshot is a merged view of one registry, produced by
-// Registry.Snapshot. Segments are deterministic (sim-domain integer
-// sums); Wall and Elapsed are wall-clock and excluded from
-// DeterministicText.
+// Registry.Snapshot: sim-domain integer sums only, so it is
+// byte-identical for the same trials at any worker count and for any
+// process sharding. Snapshots written before obs dropped its
+// wall-clock section carry "wall" and "elapsed_ns" keys; decoding
+// ignores them.
 type Snapshot struct {
 	Segments []SegmentSnapshot `json:"segments"`
-	Wall     *WallSnapshot     `json:"wall,omitempty"`
-	Elapsed  time.Duration     `json:"elapsed_ns,omitempty"`
 }
 
 // Segment returns the snapshot segment with the given label, or nil.
@@ -324,11 +262,10 @@ func (s *SegmentSnapshot) toBlock() (*block, error) {
 // registry's segment configuration). Segment cells merge by integer
 // addition through the same block path Registry.Snapshot uses, so
 // merging is commutative and partition-invariant: merging N shard
-// snapshots of a campaign yields byte-identical DeterministicText to
-// running the whole campaign in one process. Wall sections aggregate
-// (histograms merge, trial counts add) rather than keeping one
-// shard's values; Elapsed becomes the maximum, since shard processes
-// run concurrently.
+// snapshots of a campaign yields byte-identical Text to running the
+// whole campaign in one process. Merge replaces s's segment entries
+// and never mutates them in place, so a shallow copy of s.Segments
+// taken before the merge is left intact.
 func (s *Snapshot) Merge(o *Snapshot) error {
 	if len(s.Segments) != len(o.Segments) {
 		return fmt.Errorf("obs: segment count mismatch: %d vs %d", len(s.Segments), len(o.Segments))
@@ -349,78 +286,35 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 		ab.merge(bb)
 		s.Segments[i] = segmentFromBlock(a.Label, ab)
 	}
-	if o.Wall != nil {
-		if s.Wall == nil {
-			s.Wall = &WallSnapshot{}
-		}
-		s.Wall.Trials += o.Wall.Trials
-		s.Wall.Hist.Merge(&o.Wall.Hist)
-	}
-	if o.Elapsed > s.Elapsed {
-		s.Elapsed = o.Elapsed
-	}
 	return nil
 }
 
-// Deterministic returns a copy of the snapshot with the wall-clock
-// sections (Wall, Elapsed) dropped: the JSON-export view that must be
-// byte-identical at any worker count and for any process sharding.
-func (s *Snapshot) Deterministic() *Snapshot {
-	return &Snapshot{Segments: s.Segments}
-}
-
-// DeterministicText renders only the sim-domain sections: identical
-// strings for identical trial sets at any worker count. This is the
-// artifact the determinism tests compare.
-func (s *Snapshot) DeterministicText() string {
-	var b strings.Builder
-	s.writeSegments(&b)
-	return b.String()
-}
-
-// Text renders the full summary: the deterministic segments plus the
-// wall-clock section (per-trial latency and trials/s).
+// Text renders each segment's non-zero counters and histogram
+// summaries: identical strings for identical trial sets at any worker
+// count. This is the -metrics summary and the artifact the
+// determinism tests compare.
 func (s *Snapshot) Text() string {
 	var b strings.Builder
-	s.writeSegments(&b)
-	if s.Wall != nil {
-		fmt.Fprintf(&b, "wall clock:\n")
-		fmt.Fprintf(&b, "  %-28s %d\n", "trials", s.Wall.Trials)
-		fmt.Fprintf(&b, "  %-28s mean=%s p50<=%s p99<=%s\n", "trial latency",
-			time.Duration(s.Wall.Hist.Mean()).Round(time.Microsecond),
-			time.Duration(s.Wall.Hist.Quantile(0.50)).Round(time.Microsecond),
-			time.Duration(s.Wall.Hist.Quantile(0.99)).Round(time.Microsecond))
-		if s.Elapsed > 0 {
-			fmt.Fprintf(&b, "  %-28s %.0f\n", "trials/s",
-				float64(s.Wall.Trials)/s.Elapsed.Seconds())
-		}
-	}
-	return b.String()
-}
-
-// writeSegments renders each segment's non-zero counters and
-// histogram summaries.
-func (s *Snapshot) writeSegments(b *strings.Builder) {
 	for i := range s.Segments {
 		seg := &s.Segments[i]
-		fmt.Fprintf(b, "segment %s:\n", seg.Label)
+		fmt.Fprintf(&b, "segment %s:\n", seg.Label)
 		for _, c := range seg.Counters {
-			fmt.Fprintf(b, "  %-28s %d\n", c.Name, c.Value)
+			fmt.Fprintf(&b, "  %-28s %d\n", c.Name, c.Value)
 		}
 		for _, h := range seg.Hists {
-			fmt.Fprintf(b, "  %-28s count=%d mean=%.0f p50<=%d p99<=%d\n",
+			fmt.Fprintf(&b, "  %-28s count=%d mean=%.0f p50<=%d p99<=%d\n",
 				h.Name, h.Hist.Count, h.Hist.Mean(), h.Hist.Quantile(0.50), h.Hist.Quantile(0.99))
 		}
 	}
+	return b.String()
 }
 
 // MarshalSweeps serializes a map of sweep name → snapshot as stable,
 // sorted JSON — the -metrics-json export, shaped like the BENCH_*.json
-// flow (one object per sweep under a top-level key). Only the
-// deterministic sections are exported (wall-clock stays in the
-// human-readable -metrics text), so the file is byte-identical for
-// the same trials at any worker count and for any process sharding —
-// the property the shard-merge CI gate cmp's.
+// flow (one object per sweep under a top-level key). Snapshots are
+// deterministic, so the file is byte-identical for the same trials at
+// any worker count and for any process sharding — the property the
+// shard-merge CI gate cmp's.
 func MarshalSweeps(sweeps map[string]*Snapshot) ([]byte, error) {
 	names := make([]string, 0, len(sweeps))
 	for n := range sweeps {
@@ -435,7 +329,7 @@ func MarshalSweeps(sweeps map[string]*Snapshot) ([]byte, error) {
 		Sweeps []entry `json:"sweeps"`
 	}{}
 	for _, n := range names {
-		out.Sweeps = append(out.Sweeps, entry{Sweep: n, Snapshot: sweeps[n].Deterministic()})
+		out.Sweeps = append(out.Sweeps, entry{Sweep: n, Snapshot: sweeps[n]})
 	}
 	return json.MarshalIndent(out, "", "  ")
 }

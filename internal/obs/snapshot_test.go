@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 // workload populates a registry with a deterministic slice [lo, hi) of
@@ -20,7 +19,6 @@ func workload(t *testing.T, lo, hi int) *Registry {
 		k.Inc(CTrial)
 		k.Add(CH2Request, uint64(i%5))
 		k.Observe(HTCPCwnd, int64(i*i))
-		s.ObserveTrialWall(time.Duration(i+1) * time.Millisecond)
 	}
 	return r
 }
@@ -43,18 +41,8 @@ func roundTrip(t *testing.T, s *Snapshot) *Snapshot {
 func TestSnapshotJSONRoundTripPreservesDeterministicText(t *testing.T) {
 	snap := workload(t, 0, 50).Snapshot()
 	got := roundTrip(t, snap)
-	if got.DeterministicText() != snap.DeterministicText() {
-		t.Fatalf("round trip changed deterministic text:\n%s\nvs\n%s",
-			got.DeterministicText(), snap.DeterministicText())
-	}
-	if got.Wall == nil || got.Wall.Trials != snap.Wall.Trials {
-		t.Fatalf("round trip lost wall trials: %+v vs %+v", got.Wall, snap.Wall)
-	}
-	if got.Wall.Hist.Count != snap.Wall.Hist.Count || got.Wall.Hist.Sum != snap.Wall.Hist.Sum {
-		t.Fatalf("round trip lost wall histogram: %+v vs %+v", got.Wall.Hist, snap.Wall.Hist)
-	}
-	if got.Elapsed != snap.Elapsed {
-		t.Fatalf("round trip changed elapsed: %v vs %v", got.Elapsed, snap.Elapsed)
+	if got.Text() != snap.Text() {
+		t.Fatalf("round trip changed text:\n%s\nvs\n%s", got.Text(), snap.Text())
 	}
 }
 
@@ -78,15 +66,8 @@ func TestSnapshotMergePartitionInvariance(t *testing.T) {
 				t.Fatalf("cuts %v: merge: %v", cuts, err)
 			}
 		}
-		if merged.DeterministicText() != ref.DeterministicText() {
-			t.Fatalf("cuts %v: merged deterministic text differs:\n%s\nvs\n%s",
-				cuts, merged.DeterministicText(), ref.DeterministicText())
-		}
-		if merged.Wall.Trials != ref.Wall.Trials {
-			t.Fatalf("cuts %v: wall trials %d, want %d", cuts, merged.Wall.Trials, ref.Wall.Trials)
-		}
-		if merged.Wall.Hist.Count != ref.Wall.Hist.Count || merged.Wall.Hist.Sum != ref.Wall.Hist.Sum {
-			t.Fatalf("cuts %v: wall hist %+v, want %+v", cuts, merged.Wall.Hist, ref.Wall.Hist)
+		if merged.Text() != ref.Text() {
+			t.Fatalf("cuts %v: merged text differs:\n%s\nvs\n%s", cuts, merged.Text(), ref.Text())
 		}
 	}
 }
@@ -102,70 +83,57 @@ func TestSnapshotMergeCommutes(t *testing.T) {
 	if err := b2.Merge(a2); err != nil {
 		t.Fatal(err)
 	}
-	if a1.DeterministicText() != b2.DeterministicText() {
-		t.Fatalf("merge order changed deterministic text:\n%s\nvs\n%s",
-			a1.DeterministicText(), b2.DeterministicText())
-	}
-	if a1.Wall.Trials != b2.Wall.Trials || a1.Wall.Hist.Sum != b2.Wall.Hist.Sum {
-		t.Fatal("merge order changed wall aggregation")
+	if a1.Text() != b2.Text() {
+		t.Fatalf("merge order changed text:\n%s\nvs\n%s", a1.Text(), b2.Text())
 	}
 }
 
-// TestSnapshotMergeAggregatesWall pins the multi-process wall-section
-// contract: a merged snapshot's wall covers every shard's trials (sum
-// of counts, merged latency histogram, max elapsed) — never one
-// shard's values kept and the others dropped.
-func TestSnapshotMergeAggregatesWall(t *testing.T) {
-	a := &Snapshot{Elapsed: 5 * time.Second, Wall: &WallSnapshot{Trials: 10}}
-	b := &Snapshot{Elapsed: 9 * time.Second, Wall: &WallSnapshot{Trials: 30}}
-	for i := 0; i < 10; i++ {
-		a.Wall.Hist.Observe(int64(time.Millisecond))
+// TestSnapshotDecodesWallFormat pins compatibility with snapshots
+// written while obs still carried a wall-clock section (checkpoints
+// and shard bundles from that format must still resume and merge):
+// the "wall" and "elapsed_ns" keys decode to nothing, and the old
+// snapshot merges and renders exactly like the same cells without
+// them.
+func TestSnapshotDecodesWallFormat(t *testing.T) {
+	const cells = `"segments":[{"label":"s0","counters":[{"name":"trial.count","value":3},` +
+		`{"name":"h2.client.request","value":7}],"histograms":[{"name":"tcp.cwnd_bytes",` +
+		`"count":3,"sum":21,"p50_le":7,"p99_le":15,"buckets":[{"le":7,"count":2},{"le":15,"count":1}]}]},` +
+		`{"label":"s1","counters":[{"name":"trial.count","value":2}]}]`
+	const wall = `"wall":{"trials":5,"sum_ns":15000000,"mean_ns":3000000,"p50_le_ns":4194303,` +
+		`"p99_le_ns":4194303,"buckets":[{"le":2097151,"count":2},{"le":4194303,"count":3}]},` +
+		`"elapsed_ns":2500000000`
+	decode := func(in string) *Snapshot {
+		t.Helper()
+		s := &Snapshot{}
+		if err := json.Unmarshal([]byte(in), s); err != nil {
+			t.Fatalf("unmarshal %s: %v", in, err)
+		}
+		return s
 	}
-	for i := 0; i < 30; i++ {
-		b.Wall.Hist.Observe(int64(4 * time.Millisecond))
+	old := decode("{" + cells + "," + wall + "}")
+	plain := decode("{" + cells + "}")
+	if old.Text() != plain.Text() {
+		t.Fatalf("old-format snapshot renders differently:\n%s\nvs\n%s", old.Text(), plain.Text())
 	}
-	if err := a.Merge(b); err != nil {
+	live := workload(t, 0, 10).Snapshot()
+	if err := old.Merge(live); err != nil {
+		t.Fatalf("merge old-format snapshot: %v", err)
+	}
+	if err := plain.Merge(live); err != nil {
 		t.Fatal(err)
 	}
-	if a.Wall.Trials != 40 {
-		t.Fatalf("merged wall trials = %d, want 40", a.Wall.Trials)
+	if old.Text() != plain.Text() {
+		t.Fatalf("merged old-format snapshot differs:\n%s\nvs\n%s", old.Text(), plain.Text())
 	}
-	if a.Wall.Hist.Count != 40 {
-		t.Fatalf("merged wall hist count = %d, want 40", a.Wall.Hist.Count)
+	if got := old.Segment("s0").Counter("trial.count"); got != 3+5 {
+		t.Fatalf("merged s0 trial.count = %d, want 8", got)
 	}
-	if want := uint64(10*time.Millisecond + 120*time.Millisecond); a.Wall.Hist.Sum != want {
-		t.Fatalf("merged wall hist sum = %d, want %d", a.Wall.Hist.Sum, want)
-	}
-	if a.Elapsed != 9*time.Second {
-		t.Fatalf("merged elapsed = %v, want the max (9s)", a.Elapsed)
-	}
-
-	// One-sided wall: merging a wall-less snapshot must keep the other
-	// side's section intact.
-	c := &Snapshot{}
-	if err := c.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if c.Wall == nil || c.Wall.Trials != 40 {
-		t.Fatalf("merge into wall-less snapshot lost the wall: %+v", c.Wall)
-	}
-}
-
-// TestMarshalSweepsStripsWall pins the other half of the satellite:
-// the JSON export paths (-metrics-json, survey obs=) must not carry
-// any shard's wall section — aggregate or drop, never silently keep
-// one process's values. MarshalSweeps drops.
-func TestMarshalSweepsStripsWall(t *testing.T) {
-	snap := workload(t, 0, 10).Snapshot()
-	if snap.Wall == nil {
-		t.Fatal("workload produced no wall section")
-	}
-	data, err := MarshalSweeps(map[string]*Snapshot{"x": snap})
+	data, err := json.Marshal(old)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(data), `"wall"`) || strings.Contains(string(data), `"elapsed_ns"`) {
-		t.Fatalf("sweep export carries wall-clock sections:\n%s", data)
+		t.Fatalf("re-encoded snapshot still carries wall-clock keys:\n%s", data)
 	}
 }
 

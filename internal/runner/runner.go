@@ -69,10 +69,11 @@ type Options struct {
 	// index and wall-clock duration (the trial function alone, lock
 	// wait excluded). Like OnProgress it runs serialized under the
 	// runner's lock; keep it cheap. Trial timing is only measured when
-	// this is set, so the default path pays nothing. Wall-clock
-	// durations are inherently non-deterministic — consumers (e.g. the
-	// metrics registry's wall section) must keep them out of any
-	// deterministic aggregate.
+	// this is set, so the default path pays nothing. This is the one
+	// source of per-trial latency (perfbench's trial_ms percentiles
+	// read it; obs keeps no clock). Wall-clock durations are
+	// inherently non-deterministic — consumers must keep them out of
+	// any deterministic aggregate.
 	OnTrialDone func(index int, elapsed time.Duration)
 
 	// Gauges, when non-nil, receives live health samples: worker-pool

@@ -1,24 +1,21 @@
 package telemetry
 
-import "strconv"
+import (
+	"fmt"
+	"io"
+)
 
-// Prometheus text exposition (version 0.0.4) of the live plane,
-// rendered by an append encoder: a caller-owned []byte grows through
-// strconv.Append* primitives, no fmt, no intermediate strings. /metrics responses are built into a
-// reused buffer, so a scrape steady-state allocates only what
-// net/http itself needs.
+// Prometheus text exposition (version 0.0.4) of the live plane.
 //
 // Every metric is prefixed "h2attack_". Gauge metrics come straight
 // from the Gauges schema (gaugeInfos); the campaign- and runtime-
-// level series are listed in promExtras below. Values are rendered
-// with strconv.AppendFloat(... 'g', -1, 64) for floats — the exact
-// formatting of fmt.Sprintf("%g"), which the equivalence test pins —
-// and strconv.AppendInt for integers.
+// level series are listed in promExtras below. Values render with
+// fmt's %v: %d for integers, %g for floats.
 
-// MetricsSnapshot is the input to AppendMetrics: one sampled view of
+// MetricsSnapshot is the input to WriteMetrics: one sampled view of
 // the plane, assembled by the status server from the Tracker, the
 // Gauges block, and runtime.ReadMemStats. A pure value type so the
-// encoder is testable without a live campaign.
+// exposition is testable without a live campaign.
 type MetricsSnapshot struct {
 	// Gauges is the sampled gauge block (Gauges.Snapshot()).
 	Gauges [GaugeCount]int64
@@ -41,89 +38,50 @@ type MetricsSnapshot struct {
 }
 
 // promExtra is one non-gauge series in the exposition: a name, HELP
-// text, and an accessor into the snapshot. Float-valued series set
-// isFloat; the rest render as integers.
+// text, and an accessor into the snapshot (an int64 or a float64).
 type promExtra struct {
-	name    string
-	help    string
-	isFloat bool
-	intVal  func(*MetricsSnapshot) int64
-	fltVal  func(*MetricsSnapshot) float64
+	name  string
+	help  string
+	value func(*MetricsSnapshot) any
 }
 
 // promExtras is the campaign/runtime section of the exposition, in
 // output order after the gauge block.
 var promExtras = []promExtra{
-	{name: "trials_done", help: "Trials completed in the current campaign.",
-		intVal: func(s *MetricsSnapshot) int64 { return s.TrialsDone }},
-	{name: "trials_total", help: "Total trials in the current campaign.",
-		intVal: func(s *MetricsSnapshot) int64 { return s.TrialsTotal }},
-	{name: "trials_per_sec", help: "Wall-clock trial throughput (runner.Progress.TrialsPerSec).", isFloat: true,
-		fltVal: func(s *MetricsSnapshot) float64 { return s.TrialsPerSec }},
-	{name: "uptime_seconds", help: "Seconds since the status server started.", isFloat: true,
-		fltVal: func(s *MetricsSnapshot) float64 { return s.UptimeSeconds }},
-	{name: "go_goroutines", help: "Number of goroutines.",
-		intVal: func(s *MetricsSnapshot) int64 { return s.Goroutines }},
-	{name: "go_heap_alloc_bytes", help: "Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).",
-		intVal: func(s *MetricsSnapshot) int64 { return s.HeapAllocBytes }},
-	{name: "go_gc_cycles_total", help: "Completed GC cycles (runtime.MemStats.NumGC).",
-		intVal: func(s *MetricsSnapshot) int64 { return s.GCCycles }},
-	{name: "go_gomaxprocs", help: "GOMAXPROCS at sample time.",
-		intVal: func(s *MetricsSnapshot) int64 { return s.GoMaxProcs }},
+	{"trials_done", "Trials completed in the current campaign.",
+		func(s *MetricsSnapshot) any { return s.TrialsDone }},
+	{"trials_total", "Total trials in the current campaign.",
+		func(s *MetricsSnapshot) any { return s.TrialsTotal }},
+	{"trials_per_sec", "Wall-clock trial throughput (runner.Progress.TrialsPerSec).",
+		func(s *MetricsSnapshot) any { return s.TrialsPerSec }},
+	{"uptime_seconds", "Seconds since the status server started.",
+		func(s *MetricsSnapshot) any { return s.UptimeSeconds }},
+	{"go_goroutines", "Number of goroutines.",
+		func(s *MetricsSnapshot) any { return s.Goroutines }},
+	{"go_heap_alloc_bytes", "Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).",
+		func(s *MetricsSnapshot) any { return s.HeapAllocBytes }},
+	{"go_gc_cycles_total", "Completed GC cycles (runtime.MemStats.NumGC).",
+		func(s *MetricsSnapshot) any { return s.GCCycles }},
+	{"go_gomaxprocs", "GOMAXPROCS at sample time.",
+		func(s *MetricsSnapshot) any { return s.GoMaxProcs }},
 }
 
-// appendPromHeader appends the # HELP and # TYPE comment lines for
-// one metric. Every series in the plane is conceptually a sampled
-// gauge (even the *_total cumulative cells are resettable per
-// campaign), so the TYPE is always "gauge".
-func appendPromHeader(dst []byte, name, help string) []byte {
-	dst = append(dst, "# HELP h2attack_"...)
-	dst = append(dst, name...)
-	dst = append(dst, ' ')
-	dst = append(dst, help...)
-	dst = append(dst, "\n# TYPE h2attack_"...)
-	dst = append(dst, name...)
-	dst = append(dst, " gauge\n"...)
-	return dst
+// writePromSeries writes one metric: its # HELP and # TYPE comment
+// lines and its sample line. Every series in the plane is
+// conceptually a sampled gauge (even the *_total cumulative cells are
+// resettable per campaign), so the TYPE is always "gauge".
+func writePromSeries(w io.Writer, name, help string, v any) {
+	fmt.Fprintf(w, "# HELP h2attack_%s %s\n# TYPE h2attack_%s gauge\nh2attack_%s %v\n", name, help, name, name, v)
 }
 
-// appendPromInt appends one "h2attack_<name> <value>" sample line.
-func appendPromInt(dst []byte, name string, v int64) []byte {
-	dst = append(dst, "h2attack_"...)
-	dst = append(dst, name...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, v, 10)
-	return append(dst, '\n')
-}
-
-// appendPromFloat is appendPromInt for float-valued series; 'g'
-// shortest-form formatting, matching fmt's %g verb exactly (the
-// equivalence test pins this).
-func appendPromFloat(dst []byte, name string, v float64) []byte {
-	dst = append(dst, "h2attack_"...)
-	dst = append(dst, name...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	return append(dst, '\n')
-}
-
-// AppendMetrics renders the full Prometheus text exposition of one
-// snapshot into dst and returns the extended slice: first every gauge
-// in schema order, then the campaign/runtime extras.
-func AppendMetrics(dst []byte, s *MetricsSnapshot) []byte {
+// WriteMetrics writes the full Prometheus text exposition of one
+// snapshot to w: first every gauge in schema order, then the
+// campaign/runtime extras.
+func WriteMetrics(w io.Writer, s *MetricsSnapshot) {
 	for id := GaugeID(0); id < gaugeCount; id++ {
-		info := &gaugeInfos[id]
-		dst = appendPromHeader(dst, info.name, info.help)
-		dst = appendPromInt(dst, info.name, s.Gauges[id])
+		writePromSeries(w, gaugeInfos[id].name, gaugeInfos[id].help, s.Gauges[id])
 	}
-	for i := range promExtras {
-		e := &promExtras[i]
-		dst = appendPromHeader(dst, e.name, e.help)
-		if e.isFloat {
-			dst = appendPromFloat(dst, e.name, e.fltVal(s))
-		} else {
-			dst = appendPromInt(dst, e.name, e.intVal(s))
-		}
+	for _, e := range promExtras {
+		writePromSeries(w, e.name, e.help, e.value(s))
 	}
-	return dst
 }

@@ -35,12 +35,6 @@ type Server struct {
 	listener net.Listener
 	started  time.Time
 
-	// scrapeBuf reuses the /metrics render buffer across scrapes
-	// (one buffer is plenty at human scrape rates; the mutex also
-	// serializes concurrent scrapes onto it).
-	scrapeMu  sync.Mutex
-	scrapeBuf []byte
-
 	// replayMu serializes /events replays: the replay hook reuses one
 	// trial world and recorder.
 	replayMu sync.Mutex
@@ -120,11 +114,8 @@ func (s *Server) snapshot() (MetricsSnapshot, TrackerSnapshot) {
 // handleMetrics renders the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap, _ := s.snapshot()
-	s.scrapeMu.Lock()
-	defer s.scrapeMu.Unlock()
-	s.scrapeBuf = AppendMetrics(s.scrapeBuf[:0], &snap)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(s.scrapeBuf)
+	WriteMetrics(w, &snap)
 }
 
 // statusResponse is the /status JSON document. Wall-clock values
