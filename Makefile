@@ -67,8 +67,10 @@ survey-smoke:
 # must produce byte-identical tables, -metrics text, survey JSONL, and
 # -metrics-json.
 # Deliberately uses different -j for the two runs: output must not
-# depend on worker count either. Mirrors the CI shard-merge-smoke job;
-# scratch lives in campaigns/ (gitignored).
+# depend on worker count either. Then one line is deleted from a
+# bundle's survey slice and -merge must refuse the set, naming the
+# file. Mirrors the CI shard-merge-smoke job; scratch lives in
+# campaigns/ (gitignored).
 shard-smoke:
 	@rm -rf campaigns/shardsmoke && mkdir -p campaigns/shardsmoke
 	go run ./cmd/h2attack -table1 -delay -trials 6 -seed 5 -j 3 \
@@ -85,6 +87,14 @@ shard-smoke:
 	cmp campaigns/shardsmoke/single.out campaigns/shardsmoke/merged.out
 	cmp campaigns/shardsmoke/single.jsonl campaigns/shardsmoke/merged.jsonl
 	cmp campaigns/shardsmoke/single.metrics.json campaigns/shardsmoke/merged.metrics.json
+	sed '$$d' campaigns/shardsmoke/bundles/shard-2/survey.jsonl > campaigns/shardsmoke/short.jsonl
+	mv campaigns/shardsmoke/short.jsonl campaigns/shardsmoke/bundles/shard-2/survey.jsonl
+	if campaigns/shardsmoke/bundles/h2attack -survey -corpus 24 -site-trials 2 -seed 5 \
+		-export jsonl=campaigns/shardsmoke/short.jsonl \
+		-merge campaigns/shardsmoke/bundles/shard-1,campaigns/shardsmoke/bundles/shard-2,campaigns/shardsmoke/bundles/shard-3 \
+		> /dev/null 2> campaigns/shardsmoke/short.err; then \
+		echo "shard-smoke: -merge accepted a short survey slice"; exit 1; fi
+	grep -F 'shard-2/survey.jsonl' campaigns/shardsmoke/short.err
 	@echo "shard-smoke OK"
 
 # Live-telemetry smoke: a race-built survey with -status on a random

@@ -14,7 +14,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
-	"repro/internal/website"
 )
 
 // This file is the multi-process scale-out driver. `-shard i/N
@@ -57,24 +56,6 @@ func parseShardSpec(spec string) (idx, count int, err error) {
 		return 0, 0, fmt.Errorf("-shard: index %d outside 1..%d", i, n)
 	}
 	return i - 1, n, nil
-}
-
-// newSurvey builds the survey campaign exactly as runSurvey does, so
-// shard and merge modes agree with single-process runs on the
-// fingerprint.
-func (f *shardModeFlags) newSurvey() (*experiment.Survey, error) {
-	if f.corpus <= 0 {
-		return nil, fmt.Errorf("-corpus must be positive, got %d", f.corpus)
-	}
-	st := f.siteTrials
-	if st <= 0 {
-		st = 1
-	}
-	return experiment.NewSurvey(experiment.SurveyConfig{
-		Corpus:     website.CorpusConfig{Seed: uint64(f.seed), Sites: f.corpus},
-		SiteTrials: st,
-		Seed:       f.seed,
-	}), nil
 }
 
 // progressFn builds the progress reporter for one campaign slice: the
@@ -187,7 +168,7 @@ func runShardMode(spec, dir string, f shardModeFlags) error {
 		}
 	}
 	if f.survey {
-		s, err := f.newSurvey()
+		s, err := newSurvey(f.corpus, f.siteTrials, f.seed)
 		if err != nil {
 			return err
 		}
@@ -369,7 +350,7 @@ func runMergeMode(dirList string, f shardModeFlags) error {
 // from -export, so the summary table and every file export match
 // byte-for-byte.
 func mergeSurvey(set *shard.Set, f shardModeFlags) error {
-	s, err := f.newSurvey()
+	s, err := newSurvey(f.corpus, f.siteTrials, f.seed)
 	if err != nil {
 		return err
 	}
@@ -387,35 +368,25 @@ func mergeSurvey(set *shard.Set, f shardModeFlags) error {
 		return err
 	}
 
+	specs, err := parseExport(f.export)
+	if err != nil {
+		return err
+	}
 	var (
 		summary   *experiment.SurveySummary
 		jsonlOut  []string
 		obsOut    []string
-		wantObs   bool
 		wantLines = lines.Bytes()
 	)
-	for _, spec := range strings.Split(f.export, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
+	for _, e := range specs {
+		switch e.kind {
+		case "summary":
+			summary = experiment.NewSurveySummary()
+		case "jsonl":
+			jsonlOut = append(jsonlOut, e.path)
+		case "obs":
+			obsOut = append(obsOut, e.path)
 		}
-		name, arg, hasArg := strings.Cut(spec, "=")
-		switch {
-		case name == "summary" && !hasArg:
-			if summary == nil {
-				summary = experiment.NewSurveySummary()
-			}
-		case name == "jsonl" && hasArg:
-			jsonlOut = append(jsonlOut, arg)
-		case name == "obs" && hasArg:
-			obsOut = append(obsOut, arg)
-			wantObs = true
-		default:
-			return fmt.Errorf("-export: unknown spec %q (want summary, jsonl=FILE, or obs=FILE)", spec)
-		}
-	}
-	if summary == nil && len(jsonlOut) == 0 && len(obsOut) == 0 {
-		return fmt.Errorf("-export: no exporters configured")
 	}
 
 	trials := slices[0].Trials
@@ -439,7 +410,7 @@ func mergeSurvey(set *shard.Set, f shardModeFlags) error {
 		}
 	}
 	var snap *obs.Snapshot
-	if wantObs || f.metrics {
+	if len(obsOut) > 0 || f.metrics {
 		if snap, err = mergeSnapshots(slices); err != nil {
 			return err
 		}

@@ -28,25 +28,67 @@ type surveyFlags struct {
 	maxTrials       int
 }
 
+// newSurvey builds the survey campaign from the -corpus,
+// -site-trials and -seed flags. Single-process, shard and merge modes
+// all build it here, so they agree on the fingerprint.
+func newSurvey(corpus, siteTrials int, seed int64) (*experiment.Survey, error) {
+	if corpus <= 0 {
+		return nil, fmt.Errorf("-corpus must be positive, got %d", corpus)
+	}
+	return experiment.NewSurvey(experiment.SurveyConfig{
+		Corpus:     website.CorpusConfig{Seed: uint64(seed), Sites: corpus},
+		SiteTrials: max(siteTrials, 1),
+		Seed:       seed,
+	}), nil
+}
+
+// exportSpec is one -export entry: kind "summary", or "jsonl"/"obs"
+// with the output file in path.
+type exportSpec struct {
+	kind, path string
+}
+
+// parseExport parses the comma-separated -export list in order. A
+// repeated summary is kept once; an empty list is an error.
+func parseExport(list string) ([]exportSpec, error) {
+	var specs []exportSpec
+	summary := false
+	for _, spec := range strings.Split(list, ",") {
+		spec = strings.TrimSpace(spec)
+		if spec == "" {
+			continue
+		}
+		name, arg, hasArg := strings.Cut(spec, "=")
+		switch {
+		case name == "summary" && !hasArg:
+			if !summary {
+				summary = true
+				specs = append(specs, exportSpec{kind: name})
+			}
+		case (name == "jsonl" || name == "obs") && hasArg:
+			specs = append(specs, exportSpec{kind: name, path: arg})
+		default:
+			return nil, fmt.Errorf("-export: unknown spec %q (want summary, jsonl=FILE, or obs=FILE)", spec)
+		}
+	}
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("-export: no exporters configured")
+	}
+	return specs, nil
+}
+
 // runSurvey executes a survey campaign: the paper's attack against a
 // synthetic site corpus, streamed through the pipeline to the
 // exporters named by -export, with optional checkpoint/resume.
 func runSurvey(f surveyFlags) error {
-	if f.corpus <= 0 {
-		return fmt.Errorf("-corpus must be positive, got %d", f.corpus)
+	s, err := newSurvey(f.corpus, f.siteTrials, f.seed)
+	if err != nil {
+		return err
 	}
-	if f.siteTrials <= 0 {
-		f.siteTrials = 1
+	specs, err := parseExport(f.export)
+	if err != nil {
+		return err
 	}
-	cfg := experiment.SurveyConfig{
-		Corpus: website.CorpusConfig{
-			Seed:  uint64(f.seed),
-			Sites: f.corpus,
-		},
-		SiteTrials: f.siteTrials,
-		Seed:       f.seed,
-	}
-	s := experiment.NewSurvey(cfg)
 
 	var (
 		exporters []pipeline.Exporter[experiment.CorpusTrialParams, experiment.SurveyResult]
@@ -56,31 +98,19 @@ func runSurvey(f surveyFlags) error {
 	if f.metrics {
 		st = experiment.NewObsState()
 	}
-	for _, spec := range strings.Split(f.export, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		name, arg, hasArg := strings.Cut(spec, "=")
-		switch {
-		case name == "summary" && !hasArg:
-			if summary == nil {
-				summary = experiment.NewSurveySummary()
-				exporters = append(exporters, summary)
-			}
-		case name == "jsonl" && hasArg:
-			exporters = append(exporters, experiment.SurveyJSONL(arg))
-		case name == "obs" && hasArg:
+	for _, e := range specs {
+		switch e.kind {
+		case "summary":
+			summary = experiment.NewSurveySummary()
+			exporters = append(exporters, summary)
+		case "jsonl":
+			exporters = append(exporters, experiment.SurveyJSONL(e.path))
+		case "obs":
 			if st == nil {
 				st = experiment.NewObsState()
 			}
-			exporters = append(exporters, experiment.SurveyObsExport(st, arg))
-		default:
-			return fmt.Errorf("-export: unknown spec %q (want summary, jsonl=FILE, or obs=FILE)", spec)
+			exporters = append(exporters, experiment.SurveyObsExport(st, e.path))
 		}
-	}
-	if len(exporters) == 0 {
-		return fmt.Errorf("-export: no exporters configured")
 	}
 	if st != nil {
 		s.SetMetrics(st.Reg)

@@ -241,8 +241,8 @@ func (p *Predictor) matchPrimed(est int) *website.Object {
 }
 
 // segmentConfig is the predictor's tuning expressed as the streaming
-// segmentation engine's config. Both inference paths derive their
-// constants from here, so they cannot drift.
+// segmentation engine's config, so StreamInference reads the same
+// fields Infer does and the two cannot drift.
 func (p *Predictor) segmentConfig() analysis.SegmentConfig {
 	return analysis.SegmentConfig{
 		FullCipher:        p.FullCipher,
@@ -250,34 +250,6 @@ func (p *Predictor) segmentConfig() analysis.SegmentConfig {
 		PerRecordOverhead: tlsrec.Overhead + 9,
 		IdleGap:           p.IdleGap,
 	}
-}
-
-// InferBatch classifies K record streams against one site, priming
-// the size table once and reusing the segmentation state across the
-// batch. Results are element-wise identical to calling Infer on each
-// stream. Use it when a worker runs several trials of the same site
-// (the survey's SiteTrials repetitions): the per-call table setup
-// that Infer's scan path pays per inference is amortized to one sort
-// per site.
-func (p *Predictor) InferBatch(streams [][]trace.RecordObs) [][]Inference {
-	p.Prime()
-	out := make([][]Inference, len(streams))
-	var seg analysis.Segmenter
-	for i, recs := range streams {
-		seg.Reset(p.segmentConfig())
-		var infs []Inference
-		for _, r := range recs {
-			run, ok := seg.Feed(r)
-			if !ok {
-				continue
-			}
-			inf := Inference{EstSize: run.Size, Start: run.Start, End: run.End, Records: run.Records}
-			inf.Object = p.matchPrimed(run.Size)
-			infs = append(infs, inf)
-		}
-		out[i] = infs
-	}
-	return out
 }
 
 // PredictEmblemOrder extracts the predicted survey outcome: the

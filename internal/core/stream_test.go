@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/h2sim"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/website"
 )
 
@@ -180,30 +179,5 @@ func TestPrimeInvalidatesOnSiteChange(t *testing.T) {
 	}
 	if got := p.matchPrimed(1000); got != nil {
 		t.Fatalf("stale s1 entry survived reprime: %v", got)
-	}
-}
-
-// TestInferBatch checks the batched API equals element-wise Infer.
-func TestInferBatch(t *testing.T) {
-	site := website.Survey(website.IdentityPermutation())
-	var streams [][]trace.RecordObs
-	for seed := int64(1); seed <= 4; seed++ {
-		sess := h2sim.NewSession(site, h2sim.SessionConfig{Seed: seed, RandomizeAmbient: true})
-		atk := InstallPassive(sess)
-		sess.Run()
-		streams = append(streams, append([]trace.RecordObs(nil), atk.Monitor.Records...))
-	}
-	streams = append(streams, nil) // empty stream stays empty
-
-	p := NewPredictor(site)
-	got := p.InferBatch(streams)
-	if len(got) != len(streams) {
-		t.Fatalf("InferBatch returned %d results for %d streams", len(got), len(streams))
-	}
-	for i, recs := range streams {
-		want := p.Infer(recs)
-		if !reflect.DeepEqual(got[i], want) && !(len(got[i]) == 0 && len(want) == 0) {
-			t.Fatalf("stream %d: InferBatch diverges from Infer\n got %+v\nwant %+v", i, got[i], want)
-		}
 	}
 }

@@ -13,8 +13,8 @@
 //   - The runner (internal/runner.StreamWith) fans trial indices
 //     across a worker pool, each worker holding one reusable state
 //     arena, and delivers results in strict index order through a
-//     bounded reorder window — at most Window trials are in flight or
-//     parked, no matter how long the campaign runs.
+//     fixed-size reorder ring — a bounded number of trials are in
+//     flight or parked, no matter how long the campaign runs.
 //   - Exporters consume the ordered (index, params, result) stream:
 //     accumulate a table, append a JSONL line, feed a metrics
 //     registry. Because the stream order is index order, an
@@ -50,20 +50,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config tunes one Run. The zero value runs serially-scheduled on all
-// CPUs with no checkpointing.
+// Config tunes one Run. The zero value runs on all CPUs with no
+// checkpointing.
 type Config struct {
 	// Workers is the trial worker count (internal/runner semantics:
-	// <=0 means GOMAXPROCS, 1 is the serial path).
+	// <=0 means GOMAXPROCS). Every count, 1 included, runs the same
+	// worker pool and exports the same bytes.
 	Workers int
 
-	// Window bounds how many trials may be in flight or parked ahead
-	// of the export cursor (internal/runner.StreamOptions.Window).
-	// Zero selects the runner default, max(64, 4*workers).
-	Window int
-
 	// Batch is the number of consecutive trial indices one worker
-	// claims at a time (internal/runner.StreamOptions.Batch). Set it
+	// claims at a time (internal/runner.Options.Batch). Set it
 	// to the campaign's parameter period — e.g. the survey's
 	// SiteTrials — so per-worker caches (built sites, primed size
 	// tables) serve the whole period instead of being diluted across
@@ -266,12 +262,14 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 	}
 	exported := 0
 	var runErr error
-	runner.StreamWith(execEnd, runner.StreamOptions{
-		Options: runner.Options{Workers: cfg.Workers, OnProgress: cfg.OnProgress, OnTrialDone: cfg.OnTrialDone, Gauges: cfg.Gauges},
-		Start:   sum.Start,
-		Window:  cfg.Window,
-		Batch:   cfg.Batch,
-		Stop:    cfg.Stop,
+	runner.StreamWith(execEnd, runner.Options{
+		Workers:     cfg.Workers,
+		Start:       sum.Start,
+		Batch:       cfg.Batch,
+		Stop:        cfg.Stop,
+		OnProgress:  cfg.OnProgress,
+		OnTrialDone: cfg.OnTrialDone,
+		Gauges:      cfg.Gauges,
 	}, newState, func(s S, i int) R {
 		return trial(s, gen.Params(i))
 	}, func(i int, result R, err *runner.TrialError) bool {

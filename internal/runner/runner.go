@@ -5,14 +5,14 @@
 // Every sweep in this repository (Tables I/II, Figure 5, the §IV-A
 // and §IV-D experiments, the §VII defence evaluation) is N
 // independent single-threaded discrete-event simulations, each driven
-// entirely by its trial index — a trivially parallel workload. Run
-// fans the indices [0,n) across Workers goroutines and collects the
-// results into an index-ordered slice, so downstream aggregation
-// visits trials in exactly the order a serial loop would and produces
-// byte-identical tables at any worker count. Determinism therefore
-// rests on one caller-side rule: a trial's behaviour must be a pure
-// function of its index (derive the seed from the index, never from
-// worker identity or shared state).
+// entirely by its trial index — a trivially parallel workload.
+// StreamWith fans the indices across Workers goroutines and delivers
+// the results in index order, so downstream aggregation visits trials
+// in exactly the order a serial loop would and produces byte-identical
+// tables at any worker count. Determinism therefore rests on one
+// caller-side rule: a trial's behaviour must be a pure function of its
+// index (derive the seed from the index, never from worker identity or
+// shared state).
 //
 // A panic inside one trial is captured with its stack and reported as
 // a TrialError instead of killing the sweep; the remaining trials
@@ -37,9 +37,9 @@ type Progress struct {
 	Completed int
 	// Failed counts trials that panicked.
 	Failed int
-	// Total is the batch size n.
+	// Total is the number of trials this run executes, n-Start.
 	Total int
-	// Elapsed is the wall-clock time since Run started.
+	// Elapsed is the wall-clock time since StreamWith started.
 	Elapsed time.Duration
 	// Remaining estimates the wall-clock time left, extrapolating
 	// from the mean per-trial cost so far (0 until one trial is done).
@@ -53,12 +53,40 @@ type Progress struct {
 	TrialsPerSec float64
 }
 
-// Options configures a Run.
+// Options configures a StreamWith run.
 type Options struct {
 	// Workers is the number of concurrent trial executors. Zero or
-	// negative means runtime.GOMAXPROCS(0). Workers == 1 runs the
-	// trials inline on the calling goroutine (the serial path).
+	// negative means runtime.GOMAXPROCS(0).
 	Workers int
+
+	// Start is the first trial index to execute; StreamWith runs
+	// [Start, n). A checkpointed campaign resumes by setting Start to
+	// the index after the last exported trial — because trials are
+	// pure functions of their index, the emitted stream continues
+	// exactly where the interrupted run left off.
+	Start int
+
+	// Batch is the number of consecutive trial indices a worker
+	// claims at a time. Chunks are aligned: every claim is exactly
+	// Batch indices (the final one may be the remainder), so a
+	// campaign whose parameters repeat with period Batch — the
+	// survey's SiteTrials repetitions of one site — keeps each
+	// period on one worker, letting per-worker state (site cache,
+	// primed size tables) amortize across it. Zero or negative
+	// claims one index; a Batch larger than the reorder ring is
+	// clamped to it. Batching never affects the emitted stream, only
+	// which worker runs which trial.
+	Batch int
+
+	// Stop, when non-nil, requests a graceful drain when it becomes
+	// readable: workers claim no further chunks, every trial already
+	// claimed completes and is emitted, then StreamWith returns. At
+	// most workers×Batch trials execute after the signal. Draining —
+	// rather than abandoning in-flight work the way an emit-side stop
+	// does — means every executed trial reaches emit, so side effects
+	// recorded during execution (per-worker metrics shards) exactly
+	// match the emitted prefix.
+	Stop <-chan struct{}
 
 	// OnProgress, when non-nil, is invoked after every trial
 	// completion with a consistent snapshot. It runs on a worker
@@ -101,121 +129,212 @@ func (e *TrialError) Error() string {
 	return fmt.Sprintf("runner: trial %d panicked: %v", e.Index, e.Value)
 }
 
-// Run executes fn(i) for every i in [0,n) across a worker pool and
-// returns the results in index order. Trials that panic leave the
-// zero value of T at their index and are reported in the second
-// return value, ordered by trial index (nil when every trial
-// succeeded). Run itself never panics on a trial failure.
+// StreamWith executes fn(state, i) for every i in [opts.Start, n)
+// across a worker pool and delivers each result to emit in strict
+// index order — the streaming core under internal/pipeline. newState
+// builds one S per worker goroutine and fn receives that worker's
+// state alongside the trial index; this is how the sweeps amortize
+// expensive per-trial setup (each worker keeps one reusable trial
+// world and resets it per index). Results are never accumulated:
+// completed trials are parked in a fixed-size reorder ring of
+// max(64, 4×workers) slots until every earlier index has been
+// emitted, so a million-trial campaign holds a bounded number of
+// results in memory.
 //
-// fn must treat its index argument as the trial's only identity: with
-// index-derived seeds the returned slice is identical for every
-// worker count.
-func Run[T any](n int, opts Options, fn func(index int) T) ([]T, []*TrialError) {
-	return RunWith(n, opts,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) T { return fn(i) })
-}
-
-// RunWith is Run with per-worker reusable state: newState builds one
-// S per worker goroutine (one total on the serial path) and fn
-// receives that worker's state alongside the trial index. This is how
-// the sweeps amortize expensive per-trial setup — each worker keeps
-// one reusable trial world and resets it per index.
+// emit runs serialized (never concurrently) and in index order. A
+// trial that panicked is delivered with the zero value of T and a
+// non-nil *TrialError. emit's return value is the continuation
+// signal: returning false stops the stream — no further trials are
+// admitted, no further results are emitted, and in-flight trials are
+// discarded (a resumed run will re-execute them; with index-derived
+// seeds they reproduce exactly).
 //
-// The determinism contract extends accordingly: fn(state, i) must
-// return a result that depends only on i, treating state purely as a
-// reusable arena (re-initialized from the index-derived seed), never
-// as a channel between trials. Which worker's state a trial sees
-// depends on scheduling; any state leak shows up as worker-count-
-// dependent output.
-//
-// RunWith is the collect-everything convenience over StreamWith: it
-// allocates the full result slice up front. Callers that must stay
-// in bounded memory (long campaigns) use StreamWith directly.
-func RunWith[S, T any](n int, opts Options, newState func() S, fn func(state S, index int) T) ([]T, []*TrialError) {
-	if n <= 0 {
-		return nil, nil
+// The determinism contract: fn(state, i) must depend only on i,
+// treating state purely as a reusable arena (re-initialized from the
+// index-derived seed), never as a channel between trials. Which
+// worker's state a trial sees depends on scheduling; any state leak
+// shows up as worker-count-dependent output. Under that contract the
+// emitted (index, result) stream is identical at every worker count
+// and batch size.
+func StreamWith[S, T any](n int, opts Options, newState func() S, fn func(state S, index int) T, emit func(index int, result T, err *TrialError) bool) {
+	if n <= opts.Start {
+		return
 	}
-	results := make([]T, n)
-	var failures []*TrialError
-	StreamWith(n, StreamOptions{Options: opts}, newState, fn,
-		func(i int, result T, err *TrialError) bool {
-			results[i] = result
-			if err != nil {
-				failures = append(failures, err)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Progress covers this run's portion: a resumed campaign reports
+	// completion and ETA over the trials it still has to execute.
+	total := n - opts.Start
+	workers = min(workers, total)
+	s := &stream[T]{
+		opts:  opts,
+		emit:  emit,
+		next:  opts.Start,
+		head:  opts.Start,
+		n:     n,
+		total: total,
+		begun: time.Now(),
+		ring:  make([]slot[T], max(64, 4*workers)),
+	}
+	s.cond = sync.NewCond(&s.mu)
+	s.batch = min(max(opts.Batch, 1), len(s.ring))
+	// Trials are wall-clock timed only when a consumer asked — the
+	// per-trial callback or the telemetry busy-fraction gauges.
+	timed := opts.OnTrialDone != nil || opts.Gauges != nil
+	g := opts.Gauges
+	g.Set(telemetry.GWorkers, int64(workers))
+	g.Set(telemetry.GRingCapacity, int64(len(s.ring)))
+
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			ws := newState()
+			for running := true; running; {
+				start, count, ok := s.claim()
+				if !ok {
+					return
+				}
+				g.Add(telemetry.GWorkersBusy, 1)
+				for i := start; running && i < start+count; i++ {
+					result, failure, elapsed := runTrial(i, ws, fn, timed)
+					running = s.deliver(i, result, failure, elapsed)
+				}
+				g.Add(telemetry.GWorkersBusy, -1)
 			}
-			return true
-		})
-	return results, failures
+		}()
+	}
+	wg.Wait()
 }
 
-// defaultWorkers resolves the Workers zero value.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// state is the mutable completion bookkeeping shared by the workers
-// of one Run/StreamWith: completion counts and the progress/timing
-// callbacks, serialized under one lock.
-type state struct {
-	mu          sync.Mutex
-	completed   int
-	failed      int
-	total       int
-	start       time.Time
-	onProgress  func(Progress)
-	onTrialDone func(int, time.Duration)
-	gauges      *telemetry.Gauges
+// slot is one parked completion in the reorder ring.
+type slot[T any] struct {
+	result T
+	err    *TrialError
+	done   bool
 }
 
-// newRunState builds the completion bookkeeping for a batch of total
-// trials.
-func newRunState(total int, opts Options) *state {
-	return &state{total: total, start: time.Now(), onProgress: opts.OnProgress, onTrialDone: opts.OnTrialDone, gauges: opts.Gauges}
+// stream is the shared bookkeeping of one StreamWith run, guarded by
+// one mutex: the claim cursor, the reorder ring and the emit cursor,
+// and the completion counts behind Progress.
+type stream[T any] struct {
+	opts Options
+	emit func(int, T, *TrialError) bool
+
+	mu        sync.Mutex
+	cond      *sync.Cond // broadcast when the next chunk fits or the stream stops
+	next      int        // next index to hand to a worker
+	head      int        // next index to emit
+	n         int
+	parked    int // completed trials in the ring awaiting an earlier index
+	stopped   bool
+	ring      []slot[T] // reorder buffer, indexed by index % len(ring)
+	batch     int       // claim size, at most len(ring)
+	total     int
+	completed int
+	failed    int
+	begun     time.Time
 }
 
-// timed reports whether trials must be wall-clock timed (only when a
-// consumer asked — the progress-timing callback or the telemetry
-// busy-fraction gauges — so the default path pays nothing).
-func (st *state) timed() bool { return st.onTrialDone != nil || st.gauges != nil }
-
-// finishOne records one trial completion and fires the callbacks,
-// serialized under the state lock.
-func (st *state) finishOne(i int, failure *TrialError, elapsed time.Duration) {
-	st.mu.Lock()
-	st.finishLocked(i, failure, elapsed)
-	st.mu.Unlock()
+// claim hands the calling worker the next chunk of trial indices,
+// blocking while the reorder ring lacks room for the whole chunk (so
+// a claimed chunk always fits the ring — batch is clamped to the ring
+// size). Chunk ends are aligned to absolute multiples of batch,
+// so a campaign resumed mid-period re-aligns after one short chunk
+// and every later claim covers exactly one period. Returns ok=false
+// when the stream is exhausted or stopped, or when a drain was
+// requested (already-claimed chunks still deliver — a waiter blocked
+// on ring room is woken when their delivery advances the head and
+// re-checks the drain before claiming).
+func (s *stream[T]) claim() (start, count int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if s.stopped || s.next >= s.n || stopRequested(s.opts.Stop) {
+			return 0, 0, false
+		}
+		if want, fits := s.nextChunk(); fits {
+			start = s.next
+			s.next += want
+			g := s.opts.Gauges
+			g.Add(telemetry.GClaims, 1)
+			g.Set(telemetry.GInFlight, int64(s.next-s.head))
+			return start, want, true
+		}
+		s.cond.Wait()
+	}
 }
 
-// beginFinish/endFinish bracket a run of finishLocked calls so a
-// worker delivering a whole chunk pays one lock acquisition for the
-// chunk's completion bookkeeping instead of one per trial.
-func (st *state) beginFinish() { st.mu.Lock() }
-func (st *state) endFinish()   { st.mu.Unlock() }
+// nextChunk sizes the next claim and reports whether it fits the
+// ring; the caller holds s.mu.
+func (s *stream[T]) nextChunk() (want int, fits bool) {
+	want = min(s.batch-s.next%s.batch, s.n-s.next)
+	return want, s.next+want <= s.head+len(s.ring)
+}
 
-// finishLocked is finishOne's body; the caller holds st.mu. Callbacks
-// still fire once per trial.
-func (st *state) finishLocked(i int, failure *TrialError, elapsed time.Duration) {
-	st.completed++
+// deliver records one completed trial, parks it in the ring and emits
+// every contiguous completed index from the head — all under the one
+// stream lock, so the callbacks and emit see a serialized,
+// index-ordered stream. The trial always fits the ring: claim
+// admitted its chunk only when the chunk's end was within
+// head+len(ring), and head only advances. Reports whether the stream
+// is still running, so a worker knows to stop.
+func (s *stream[T]) deliver(i int, result T, failure *TrialError, elapsed time.Duration) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.completed++
 	if failure != nil {
-		st.failed++
+		s.failed++
 	}
-	st.gauges.Add(telemetry.GTrialsDone, 1)
-	st.gauges.Add(telemetry.GBusyNanos, int64(elapsed))
-	if st.onTrialDone != nil {
-		st.onTrialDone(i, elapsed)
+	g := s.opts.Gauges
+	g.Add(telemetry.GTrialsDone, 1)
+	g.Add(telemetry.GBusyNanos, int64(elapsed))
+	if s.opts.OnTrialDone != nil {
+		s.opts.OnTrialDone(i, elapsed)
 	}
-	if st.onProgress != nil {
-		st.onProgress(st.progressLocked())
+	if s.opts.OnProgress != nil {
+		s.opts.OnProgress(s.progress())
 	}
+	if s.stopped {
+		return false
+	}
+	s.ring[i%len(s.ring)] = slot[T]{result: result, err: failure, done: true}
+	s.parked++
+	advanced := false
+	for s.head < s.n && !s.stopped {
+		head := &s.ring[s.head%len(s.ring)]
+		if !head.done {
+			break
+		}
+		idx, res, err := s.head, head.result, head.err
+		*head = slot[T]{}
+		s.head++
+		s.parked--
+		advanced = true
+		s.stopped = !s.emit(idx, res, err)
+	}
+	g.Set(telemetry.GRingParked, int64(s.parked))
+	g.Set(telemetry.GInFlight, int64(s.next-s.head))
+	// Wake claimers blocked on ring room once the next chunk fits,
+	// or to exit once emit stopped the stream. Nothing else unblocks
+	// a claimer: it waits only while earlier claims are in flight.
+	if _, fits := s.nextChunk(); advanced && (fits || s.stopped) {
+		s.cond.Broadcast()
+	}
+	return !s.stopped
 }
 
-// progressLocked builds the Progress snapshot for the current
-// completion counts; the caller holds st.mu.
-func (st *state) progressLocked() Progress {
+// progress builds the Progress snapshot for the current completion
+// counts; the caller holds s.mu.
+func (s *stream[T]) progress() Progress {
 	p := Progress{
-		Completed: st.completed,
-		Failed:    st.failed,
-		Total:     st.total,
-		Elapsed:   time.Since(st.start),
+		Completed: s.completed,
+		Failed:    s.failed,
+		Total:     s.total,
+		Elapsed:   time.Since(s.begun),
 	}
 	if p.Completed > 0 && p.Completed < p.Total {
 		perTrial := p.Elapsed / time.Duration(p.Completed)
@@ -227,14 +346,31 @@ func (st *state) progressLocked() Progress {
 	return p
 }
 
-// protect runs one trial and converts a panic into a TrialError.
-func protect[S, T any](i int, out *T, ws S, fn func(S, int) T) (failure *TrialError) {
+// stopRequested polls a drain channel without blocking.
+func stopRequested(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// runTrial runs trial i, converting a panic into a TrialError, and
+// measures its wall clock when timed.
+func runTrial[S, T any](i int, ws S, fn func(S, int) T, timed bool) (result T, failure *TrialError, elapsed time.Duration) {
+	var began time.Time
+	if timed {
+		began = time.Now()
+	}
 	defer func() {
 		if v := recover(); v != nil {
 			buf := make([]byte, 64<<10)
 			failure = &TrialError{Index: i, Value: v, Stack: buf[:runtime.Stack(buf, false)]}
 		}
+		if timed {
+			elapsed = time.Since(began)
+		}
 	}()
-	*out = fn(ws, i)
-	return nil
+	return fn(ws, i), nil, 0
 }

@@ -19,14 +19,49 @@ func trial(i int) int64 {
 	return sum
 }
 
+// collect runs fn over [0,n) through StreamWith and gathers the
+// results into an index-ordered slice, with the failures in emit
+// (= index) order — what a collect-everything caller builds on the
+// stream. It also checks that emit visits every index once, in order.
+func collect[T any](t *testing.T, n int, opts Options, fn func(index int) T) ([]T, []*TrialError) {
+	t.Helper()
+	var (
+		results  []T
+		failures []*TrialError
+	)
+	if n > 0 {
+		results = make([]T, n)
+	}
+	next := 0
+	StreamWith(n, opts,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) T { return fn(i) },
+		func(i int, r T, err *TrialError) bool {
+			if i != next {
+				t.Errorf("emitted index %d, want %d", i, next)
+				return false
+			}
+			next++
+			results[i] = r
+			if err != nil {
+				failures = append(failures, err)
+			}
+			return true
+		})
+	if next != len(results) {
+		t.Fatalf("emitted %d of %d trials", next, len(results))
+	}
+	return results, failures
+}
+
 func TestSerialAndParallelIdentical(t *testing.T) {
 	const n = 200
-	serial, errs1 := Run(n, Options{Workers: 1}, trial)
+	serial, errs1 := collect(t, n, Options{Workers: 1}, trial)
 	if errs1 != nil {
 		t.Fatalf("serial run failed: %v", errs1)
 	}
 	for _, workers := range []int{2, 8, 17} {
-		par, errs := Run(n, Options{Workers: workers}, trial)
+		par, errs := collect(t, n, Options{Workers: workers}, trial)
 		if errs != nil {
 			t.Fatalf("workers=%d run failed: %v", workers, errs)
 		}
@@ -45,7 +80,7 @@ func TestSerialAndParallelIdentical(t *testing.T) {
 func TestPanicIsolatedToOneTrial(t *testing.T) {
 	const n = 50
 	for _, workers := range []int{1, 8} {
-		results, errs := Run(n, Options{Workers: workers}, func(i int) int {
+		results, errs := collect(t, n, Options{Workers: workers}, func(i int) int {
 			if i == 17 {
 				panic("trial 17 exploded")
 			}
@@ -80,7 +115,7 @@ func TestPanicIsolatedToOneTrial(t *testing.T) {
 }
 
 func TestFailuresSortedByIndex(t *testing.T) {
-	_, errs := Run(100, Options{Workers: 8}, func(i int) int {
+	_, errs := collect(t, 100, Options{Workers: 8}, func(i int) int {
 		if i%7 == 0 {
 			panic(i)
 		}
@@ -98,7 +133,7 @@ func TestFailuresSortedByIndex(t *testing.T) {
 
 func TestZeroAndNegativeTrials(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		results, errs := Run(n, Options{Workers: 8}, func(i int) int {
+		results, errs := collect(t, n, Options{Workers: 8}, func(i int) int {
 			t.Errorf("trial fn called for n=%d", n)
 			return 0
 		})
@@ -109,7 +144,7 @@ func TestZeroAndNegativeTrials(t *testing.T) {
 }
 
 func TestSingleTrial(t *testing.T) {
-	results, errs := Run(1, Options{Workers: 8}, func(i int) int { return 41 + i })
+	results, errs := collect(t, 1, Options{Workers: 8}, func(i int) int { return 41 + i })
 	if errs != nil {
 		t.Fatalf("unexpected failures: %v", errs)
 	}
@@ -121,7 +156,7 @@ func TestSingleTrial(t *testing.T) {
 func TestDefaultWorkerCount(t *testing.T) {
 	// Workers <= 0 must still run everything exactly once.
 	var calls atomic.Int64
-	results, errs := Run(100, Options{}, func(i int) int {
+	results, errs := collect(t, 100, Options{}, func(i int) int {
 		calls.Add(1)
 		return i
 	})
@@ -140,7 +175,7 @@ func TestDefaultWorkerCount(t *testing.T) {
 
 func TestProgressReporting(t *testing.T) {
 	var snaps []Progress
-	_, errs := Run(30, Options{
+	_, errs := collect(t, 30, Options{
 		Workers:    4,
 		OnProgress: func(p Progress) { snaps = append(snaps, p) },
 	}, func(i int) int {
@@ -176,7 +211,7 @@ func TestProgressReporting(t *testing.T) {
 func TestWorkersCappedAtTrialCount(t *testing.T) {
 	// More workers than trials must not deadlock or double-run.
 	var calls atomic.Int64
-	results, _ := Run(3, Options{Workers: 64}, func(i int) int {
+	results, _ := collect(t, 3, Options{Workers: 64}, func(i int) int {
 		calls.Add(1)
 		return i
 	})

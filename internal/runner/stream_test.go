@@ -7,14 +7,14 @@ import (
 
 // TestStreamBatchEmitsIdenticalStream checks the batching contract:
 // the emitted (index, result) stream is the same at every worker
-// count, window size, and claim batch — batching only moves work
-// between workers, never reorders or changes output.
+// count and claim batch — batching only moves work between workers,
+// never reorders or changes output.
 func TestStreamBatchEmitsIdenticalStream(t *testing.T) {
 	const n = 503
-	run := func(workers, window, batch, start int) []int {
+	run := func(workers, batch, start int) []int {
 		var got []int
 		StreamWith(n,
-			StreamOptions{Options: Options{Workers: workers}, Start: start, Window: window, Batch: batch},
+			Options{Workers: workers, Start: start, Batch: batch},
 			func() struct{} { return struct{}{} },
 			func(_ struct{}, i int) int { return i * i },
 			func(i int, r int, err *TrialError) bool {
@@ -30,23 +30,21 @@ func TestStreamBatchEmitsIdenticalStream(t *testing.T) {
 		return got
 	}
 	for _, start := range []int{0, 5} {
-		want := run(1, 0, 0, start)
+		want := run(1, 0, start)
 		if len(want) != n-start {
 			t.Fatalf("serial run emitted %d trials, want %d", len(want), n-start)
 		}
-		for _, workers := range []int{2, 3, 8} {
-			for _, window := range []int{0, 8, 64} {
-				for _, batch := range []int{0, 1, 3, 7, 64, 1000} {
-					got := run(workers, window, batch, start)
-					if len(got) != len(want) {
-						t.Fatalf("workers=%d window=%d batch=%d start=%d: emitted %d trials, want %d",
-							workers, window, batch, start, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("workers=%d window=%d batch=%d start=%d: emit order differs at position %d: %d vs %d",
-								workers, window, batch, start, i, got[i], want[i])
-						}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, batch := range []int{0, 1, 3, 7, 64, 1000} {
+				got := run(workers, batch, start)
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d batch=%d start=%d: emitted %d trials, want %d",
+						workers, batch, start, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d batch=%d start=%d: emit order differs at position %d: %d vs %d",
+							workers, batch, start, i, got[i], want[i])
 					}
 				}
 			}
@@ -70,7 +68,7 @@ func TestStreamBatchKeepsChunksOnOneWorker(t *testing.T) {
 		workerOf := make(map[int]int, n)
 		nextWorker := 0
 		StreamWith(n,
-			StreamOptions{Options: Options{Workers: 4}, Start: start, Batch: batch},
+			Options{Workers: 4, Start: start, Batch: batch},
 			func() *int {
 				mu.Lock()
 				defer mu.Unlock()
@@ -118,7 +116,7 @@ func TestStreamBatchStopAbandonsChunk(t *testing.T) {
 	const n = 400
 	var emitted []int
 	StreamWith(n,
-		StreamOptions{Options: Options{Workers: 4}, Batch: 16},
+		Options{Workers: 4, Batch: 16},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, i int) int { return i },
 		func(i int, _ int, _ *TrialError) bool {
@@ -136,23 +134,76 @@ func TestStreamBatchStopAbandonsChunk(t *testing.T) {
 }
 
 // TestStreamBatchClampedToWindow pins the deadlock guard: a batch
-// larger than the reorder ring is clamped, so workers can always
-// claim and the stream completes.
+// larger than the reorder ring (max(64, 4×workers) slots) is clamped,
+// so workers can always claim and the stream completes.
 func TestStreamBatchClampedToWindow(t *testing.T) {
-	const n = 100
-	count := 0
-	StreamWith(n,
-		StreamOptions{Options: Options{Workers: 3}, Window: 4, Batch: 1 << 20},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) int { return i },
-		func(i int, _ int, _ *TrialError) bool {
-			if i != count {
-				t.Fatalf("emit order broken: got %d at position %d", i, count)
+	const n = 300
+	for _, workers := range []int{1, 3} {
+		count := 0
+		StreamWith(n,
+			Options{Workers: workers, Batch: 1 << 20},
+			func() struct{} { return struct{}{} },
+			func(_ struct{}, i int) int { return i },
+			func(i int, _ int, _ *TrialError) bool {
+				if i != count {
+					t.Errorf("workers=%d: emit order broken: got %d at position %d", workers, i, count)
+					return false
+				}
+				count++
+				return true
+			})
+		if count != n {
+			t.Fatalf("workers=%d: emitted %d of %d trials", workers, count, n)
+		}
+	}
+}
+
+// TestStreamSingleWorkerStopDrainsChunk checks the drain contract on
+// a one-worker pool: closing Stop mid-run ends the stream after the
+// claimed chunk, so the emitted stream is a strict index prefix, every
+// executed trial is emitted, and at most Batch trials execute after
+// the signal.
+func TestStreamSingleWorkerStopDrainsChunk(t *testing.T) {
+	const (
+		n     = 200
+		batch = 8
+	)
+	for _, stopAt := range []int{0, 21, 23, 24, 150} {
+		stop := make(chan struct{})
+		var executed, emitted []int
+		afterSignal := 0
+		signalled := false
+		StreamWith(n,
+			Options{Workers: 1, Batch: batch, Stop: stop},
+			func() struct{} { return struct{}{} },
+			func(_ struct{}, i int) int {
+				if signalled {
+					afterSignal++
+				}
+				executed = append(executed, i)
+				if i == stopAt {
+					close(stop)
+					signalled = true
+				}
+				return i
+			},
+			func(i int, _ int, _ *TrialError) bool {
+				emitted = append(emitted, i)
+				return true
+			})
+		if afterSignal > batch {
+			t.Errorf("stop at %d: %d trials executed after the signal, want at most %d", stopAt, afterSignal, batch)
+		}
+		if len(emitted) != len(executed) {
+			t.Errorf("stop at %d: executed %d trials but emitted %d", stopAt, len(executed), len(emitted))
+		}
+		if len(emitted) <= stopAt || len(emitted) == n {
+			t.Errorf("stop at %d: emitted %d trials, want the drained prefix", stopAt, len(emitted))
+		}
+		for k, i := range emitted {
+			if i != k {
+				t.Fatalf("stop at %d: emitted stream is not an index prefix: %d at position %d", stopAt, i, k)
 			}
-			count++
-			return true
-		})
-	if count != n {
-		t.Fatalf("emitted %d of %d trials", count, n)
+		}
 	}
 }

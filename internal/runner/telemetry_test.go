@@ -16,7 +16,7 @@ func TestGaugesEndState(t *testing.T) {
 		g := &telemetry.Gauges{}
 		const n = 200
 		var emitted int
-		StreamWith(n, StreamOptions{Options: Options{Workers: workers, Gauges: g}, Batch: 7},
+		StreamWith(n, Options{Workers: workers, Gauges: g, Batch: 7},
 			func() struct{} { return struct{}{} },
 			func(_ struct{}, i int) int { return i * i },
 			func(i int, r int, err *TrialError) bool {
@@ -44,10 +44,8 @@ func TestGaugesEndState(t *testing.T) {
 		if got := g.Load(telemetry.GClaims); got < int64(n)/7 {
 			t.Errorf("workers=%d: GClaims = %d, want >= %d", workers, got, n/7)
 		}
-		if workers > 1 {
-			if got := g.Load(telemetry.GRingCapacity); got < 64 {
-				t.Errorf("GRingCapacity = %d, want the default window (>= 64)", got)
-			}
+		if got := g.Load(telemetry.GRingCapacity); got != 64 {
+			t.Errorf("workers=%d: GRingCapacity = %d, want max(64, 4*workers) = 64", workers, got)
 		}
 	}
 }
@@ -59,7 +57,7 @@ func TestGaugesEndState(t *testing.T) {
 func TestGaugesDoNotAffectStream(t *testing.T) {
 	run := func(workers int, g *telemetry.Gauges) []int {
 		var out []int
-		StreamWith(300, StreamOptions{Options: Options{Workers: workers, Gauges: g}, Batch: 5},
+		StreamWith(300, Options{Workers: workers, Gauges: g, Batch: 5},
 			func() struct{} { return struct{}{} },
 			func(_ struct{}, i int) int { return i*31 + 7 },
 			func(i int, r int, err *TrialError) bool {
@@ -87,7 +85,7 @@ func TestGaugesDoNotAffectStream(t *testing.T) {
 // code path feeds both the -progress line and /status).
 func TestProgressTrialsPerSec(t *testing.T) {
 	var last Progress
-	Run(50, Options{Workers: 2, OnProgress: func(p Progress) { last = p }},
+	collect(t, 50, Options{Workers: 2, OnProgress: func(p Progress) { last = p }},
 		func(i int) int { return i })
 	if last.Completed != 50 {
 		t.Fatalf("final progress completed = %d", last.Completed)

@@ -18,6 +18,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -259,17 +260,19 @@ func (s *Set) Campaign(name string) ([]CampaignManifest, error) {
 // ConcatResults streams one campaign's JSONL slices to w in shard
 // order — because slices are contiguous and index-ordered, the output
 // is byte-identical to the single-process export. Empty slices
-// (shards whose range was empty) are skipped.
+// (shards whose range was empty) are skipped. Each slice must hold
+// exactly one newline-terminated line per trial of its manifest range:
+// a short or long slice, or one that ends in a torn line, is refused
+// with an error naming the file. On error w may hold a partial
+// concatenation.
 func (s *Set) ConcatResults(name string, w io.Writer) error {
 	slices, err := s.Campaign(name)
 	if err != nil {
 		return err
 	}
 	// One 1 MiB copy buffer reused across every slice: multi-gigabyte
-	// bundle merges move in large reads instead of io.Copy's default
-	// 32 KiB chunks (w is typically not a ReaderFrom here, so the
-	// buffer is what sets the syscall granularity).
-	var buf []byte
+	// bundle merges move in large reads.
+	buf := make([]byte, 1<<20)
 	for _, cm := range slices {
 		if cm.Start == cm.End {
 			continue
@@ -277,18 +280,44 @@ func (s *Set) ConcatResults(name string, w io.Writer) error {
 		if cm.Results == "" {
 			return fmt.Errorf("shard: campaign %q shard range [%d, %d) has no results file", name, cm.Start, cm.End)
 		}
-		f, err := os.Open(cm.Results)
-		if err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		if buf == nil {
-			buf = make([]byte, 1<<20)
-		}
-		_, err = io.CopyBuffer(w, f, buf)
-		f.Close()
+		lines, torn, err := copyLines(w, cm.Results, buf)
 		if err != nil {
 			return fmt.Errorf("shard: concat %s: %w", cm.Results, err)
 		}
+		if want := cm.End - cm.Start; torn || lines != want {
+			tail := ""
+			if torn {
+				tail = " and a torn final line"
+			}
+			return fmt.Errorf("shard: %s holds %d complete lines%s for campaign %q range [%d, %d), want %d",
+				cm.Results, lines, tail, name, cm.Start, cm.End, want)
+		}
 	}
 	return nil
+}
+
+// copyLines copies the file at path to w through buf and counts its
+// newline-terminated lines; torn reports bytes after the last newline.
+func copyLines(w io.Writer, path string, buf []byte) (lines int, torn bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false, err
+	}
+	defer f.Close()
+	for {
+		n, rerr := f.Read(buf)
+		if n > 0 {
+			lines += bytes.Count(buf[:n], []byte{'\n'})
+			torn = buf[n-1] != '\n'
+			if _, err := w.Write(buf[:n]); err != nil {
+				return lines, torn, err
+			}
+		}
+		if rerr == io.EOF {
+			return lines, torn, nil
+		}
+		if rerr != nil {
+			return lines, torn, rerr
+		}
+	}
 }

@@ -238,3 +238,51 @@ func TestLoadSetRejectsCampaignSetMismatch(t *testing.T) {
 		t.Fatal("want campaign set mismatch error")
 	}
 }
+
+// TestConcatRejectsBadSliceLength checks that a results slice must
+// hold exactly one newline-terminated line per trial of its manifest
+// range: a short slice, a long slice and a torn final line are each
+// refused, with an error naming the file, the range and the count.
+func TestConcatRejectsBadSliceLength(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mangle func(data string) string
+		want   string
+	}{
+		{"short", func(d string) string { // drop the last line
+			return d[:strings.LastIndex(d[:len(d)-1], "\n")+1]
+		}, "holds 4 complete lines for"},
+		{"long", func(d string) string { return d + "t extra line\n" }, "holds 6 complete lines for"},
+		{"torn", func(d string) string { return d[:len(d)-3] }, "holds 4 complete lines and a torn final line for"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slices := campaignSlices("t", "fp", 10, 2)
+			dirs := make([]string, 2)
+			for i := range dirs {
+				dirs[i] = filepath.Join(t.TempDir(), "s")
+				writeBundle(t, dirs[i], i, 2, slices[i])
+			}
+			path := filepath.Join(dirs[0], "t.jsonl")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(tc.mangle(string(data))), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			set, err := LoadSet(dirs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = set.ConcatResults("t", &bytes.Buffer{})
+			if err == nil {
+				t.Fatal("ConcatResults accepted a mangled slice")
+			}
+			for _, part := range []string{path, tc.want, "range [0, 5)", "want 5"} {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("error %q does not contain %q", err, part)
+				}
+			}
+		})
+	}
+}
